@@ -35,7 +35,7 @@ from repro.harness import dse, serialization
 from repro.perf import cached_model_workload
 from repro.serve import ServeClient
 
-from .spec import COUNTERS
+from .spans import COUNTERS
 from .stats import median, summarize
 
 MODEL = "deit-tiny"
@@ -65,6 +65,27 @@ BLOCKED_POST_S = 0.05
 SLO_S = 1.0
 TAIL_Q = 0.9
 BOOT_TIMEOUT_S = 60.0
+
+#: Per-layer metrics only this workload reports, printed after the ones
+#: ``BENCHMARK.json`` lists (``serve-mixed`` is not in it; see README.md).
+LAYER_METRICS = [
+    ("serve.post_warm_p50_s", "s"),
+    ("serve.post_cold_p50_s", "s"),
+    ("serve.post_blocked_share", "share"),
+    ("serve.queue_wait_p50_s", "s"),
+    ("serve.shard_p50_s", "s"),
+    ("serve.merge_p50_s", "s"),
+    ("serve.poll_delay_p50_s", "s"),
+    ("serve.status_p50_s", "s"),
+    ("serve.results_p50_s", "s"),
+    ("serve.stage_residual_p50_s", "s"),
+    ("serve.cold_job_p50_s", "s"),
+    ("serve.hit_p50_s", "s"),
+    ("serve.jobs_per_s", "1/s"),
+    ("serve.rejections", "count"),
+    ("serve.task_retries", "count"),
+    ("gen.lag_p90_s", "s"),
+]
 
 
 @dataclass(frozen=True)

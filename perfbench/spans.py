@@ -19,15 +19,20 @@ from collections import defaultdict
 from contextlib import contextmanager
 from time import perf_counter
 
+#: ``repro.obs`` work counters reported per study or per completed job,
+#: as the per-layer ``obs.<name>`` metrics.
+COUNTERS = ("dse_points_scored", "dse_chunks_dispatched", "dist_records_written")
+
 
 class SpanClock:
-    """Nested span timer for one thread: self times, call counts, trace."""
+    """Nested span timer for one thread: self and total times, calls, trace."""
 
     def __init__(self, trace):
         self.trace = trace
         self._stack = []
         self._self = defaultdict(float)
         self._calls = defaultdict(int)
+        self._total = defaultdict(float)
 
     @contextmanager
     def span(self, name, **args):
@@ -42,14 +47,16 @@ class SpanClock:
                 self._stack[-1] += duration
             self._self[name] += duration - children
             self._calls[name] += 1
+            self._total[name] += duration
             self.trace.add_complete(name, start, duration, args or None)
 
     def take(self):
-        """``(self_seconds, calls)`` per span name since the last take."""
-        self_s, calls = dict(self._self), dict(self._calls)
+        """``(self_seconds, calls, total_seconds)`` per span name since the last take."""
+        taken = dict(self._self), dict(self._calls), dict(self._total)
         self._self.clear()
         self._calls.clear()
-        return self_s, calls
+        self._total.clear()
+        return taken
 
     def wrapped(self, function, name):
         """``function`` with every call recorded as span ``name``."""

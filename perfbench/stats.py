@@ -32,6 +32,13 @@ def beyond(n: int, q: float) -> int:
     return n - 1 - math.ceil(q * (n - 1))
 
 
+def _interpolate(ordered, q: float) -> float:
+    """Linear-interpolated q-quantile of already sorted, non-empty samples."""
+    rank = q * (len(ordered) - 1)
+    low, high = math.floor(rank), math.ceil(rank)
+    return ordered[low] + (ordered[high] - ordered[low]) * (rank - low)
+
+
 def percentile(values, q: float):
     """Linear-interpolated q-quantile, or ``None`` when unsupported.
 
@@ -44,9 +51,7 @@ def percentile(values, q: float):
     ordered = sorted(values)
     if beyond(len(ordered), q) < MIN_BEYOND:
         return None
-    rank = q * (len(ordered) - 1)
-    low, high = math.floor(rank), math.ceil(rank)
-    return ordered[low] + (ordered[high] - ordered[low]) * (rank - low)
+    return _interpolate(ordered, q)
 
 
 def summarize(values, q: float) -> dict:
@@ -56,19 +61,16 @@ def summarize(values, q: float) -> dict:
     print every metric), falling back to the plain interpolated quantile
     and flagging it ``supported: false`` in the run's provenance.
     """
-    values = list(values)
-    value = percentile(values, q)
+    ordered = sorted(values)
+    value = percentile(ordered, q)
     supported = value is not None
-    if not supported and values:
-        ordered = sorted(values)
-        rank = q * (len(ordered) - 1)
-        low, high = math.floor(rank), math.ceil(rank)
-        value = ordered[low] + (ordered[high] - ordered[low]) * (rank - low)
+    if not supported and ordered:
+        value = _interpolate(ordered, q)
     return {
         "q": q,
         "value": value,
-        "n": len(values),
-        "beyond": beyond(len(values), q),
+        "n": len(ordered),
+        "beyond": beyond(len(ordered), q),
         "supported": supported,
     }
 

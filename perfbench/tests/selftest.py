@@ -9,6 +9,7 @@ real command, so the whole file takes about two minutes.
 from __future__ import annotations
 
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -21,7 +22,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[2]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from perfbench import serving, spec, stats  # noqa: E402
+from perfbench import serving, stats  # noqa: E402
+from perfbench.run import UNGATED, load_benchmark  # noqa: E402
 from repro.serve import ServeError  # noqa: E402
 
 RUN = [sys.executable, str(ROOT / "perfbench" / "run.py")]
@@ -197,6 +199,16 @@ def test_hits_repost_an_earlier_warm_study_and_colds_are_all_new():
     assert len(set(grids)) == len(grids)
 
 
+def test_fsync_is_counted_not_sent(tmp_path):
+    from perfbench.studies import counted_fsync
+
+    counter, real = [0], os.fsync
+    with counted_fsync(counter), open(tmp_path / "ledger", "w") as fh:
+        os.fsync(fh.fileno())
+        os.fsync(fh.fileno())
+    assert counter == [2] and os.fsync is real
+
+
 # ----------------------------------------------------------------------
 # BENCHMARK.json and the command
 # ----------------------------------------------------------------------
@@ -204,12 +216,12 @@ NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$")
 UNIT = re.compile(r"^[A-Za-z0-9_/%.-]{1,16}$")
 
 
-def test_benchmark_json_is_rendered_from_the_spec():
-    assert (ROOT / "BENCHMARK.json").read_text() == spec.render()
+BENCH = load_benchmark()
+WORKLOADS = [w["name"] for w in BENCH["workloads"]] + [UNGATED]
 
 
 def test_benchmark_json_keeps_to_its_format_limits():
-    doc = spec.benchmark_json()
+    doc = BENCH
     assert set(doc) == {"command", "paths", "run_seconds", "workloads",
                         "end_to_end", "per_layer"}
     assert 2 <= len(doc["workloads"]) <= 8
@@ -239,9 +251,7 @@ def test_the_command_fails_without_the_program_source(tmp_path):
 
 
 @pytest.mark.parametrize("trace", [0, 1])
-@pytest.mark.parametrize(
-    "workload", [w["name"] for w in spec.WORKLOADS + spec.UNGATED_WORKLOADS]
-)
+@pytest.mark.parametrize("workload", WORKLOADS)
 def test_smoke_run(workload, trace):
     proc = subprocess.run(
         RUN + ["--workload", workload, "--seed", "5", "--seconds", "2",
@@ -252,9 +262,9 @@ def test_smoke_run(workload, trace):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert set(result) == {"correct", "attempted", "failed", "metrics"}
     assert result["correct"] and result["attempted"] >= 1
-    expected = spec.PER_LAYER if trace else spec.END_TO_END
-    assert list(result["metrics"]) == [name for name, *_ in expected]
-    for name, unit, *_ in expected:
-        assert result["metrics"][name]["unit"] == unit
+    expected = [(m["name"], m["unit"]) for m in BENCH["per_layer" if trace else "end_to_end"]]
+    if trace and workload == UNGATED:
+        expected += serving.LAYER_METRICS
+    assert [(name, m["unit"]) for name, m in result["metrics"].items()] == expected
     if not trace:
         assert all(m["value"] > 0 for m in result["metrics"].values())
