@@ -47,48 +47,6 @@ def test_cycle_sim_layer(bench_recorder, bench_mode):
         assert speedup >= 5.0, f"vectorized speedup only {speedup:.1f}x"
 
 
-def test_fused_scan(bench_recorder, bench_mode):
-    """Fused (2L × jobs) whole-model scans vs the per-engine split scans.
-
-    The fused fold halves scan *launches* (4 → 2 per model) but must pad
-    the denser and sparser engines to a common job width; polarized masks
-    make the denser engine ~15× narrower, so the padding costs more than
-    the launches save.  The measured ratio (≈0.75–1.0×, below 1 meaning
-    the split path wins) is recorded to keep that finding visible; the
-    benchmark asserts bit-exactness first, which is the property the fold
-    must uphold.
-    """
-    full = bench_mode == "full"
-    model = "deit-base" if full else "deit-tiny"
-    wl = cached_model_workload(model, sparsity=0.9)
-    layers = wl.attention_layers
-
-    fused = CycleAccurateSimulator(scan="fused")
-    split = CycleAccurateSimulator(scan="split")
-    assert dataclasses.astuple(fused.simulate_attention(layers)) == \
-        dataclasses.astuple(split.simulate_attention(layers))
-
-    repeats = 20 if full else 2
-    rf = benchit(lambda: fused.simulate_attention(layers), name="fused",
-                 repeats=repeats, warmup=1)
-    rs = benchit(lambda: split.simulate_attention(layers), name="split",
-                 repeats=repeats, warmup=1)
-    ratio = rs.best / rf.best
-    bench_recorder.record(
-        "fused_scan",
-        model=model,
-        layers=len(layers),
-        fused=rf.to_dict(),
-        split=rs.to_dict(),
-        fused_speedup_vs_split=ratio,
-    )
-    assert rf.best > 0 and rs.best > 0
-    if full:
-        # Guard against the fused fold regressing into pathology; it is
-        # NOT expected to beat the split default (see docstring).
-        assert ratio >= 0.5, f"fused scan collapsed to {ratio:.2f}x"
-
-
 def test_cycle_sim_full_model(bench_recorder, bench_mode):
     """All attention layers of one model through ``simulate_attention``."""
     full = bench_mode == "full"

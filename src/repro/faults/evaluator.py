@@ -30,11 +30,6 @@ class FaultyEvaluator:
         self.inner = inner
         self.fault_plan = plan_from_spec(plan)
 
-    @property
-    def adaptive(self):
-        """Proxy the inner evaluator's adaptive flag (serve rejects it)."""
-        return getattr(self.inner, "adaptive", False)
-
     def __call__(self, workload, config, accel_kwargs):
         self.fault_plan.evaluator_fault(_point_key(config, accel_kwargs))
         return self.inner(workload, config, accel_kwargs)

@@ -157,10 +157,10 @@ def _width_bands(widths):
     band's matrix is padded only to its own widest row and every row
     fills more than half of it (max/min width ratio < 2 within a band)
     — no row is ever padded to the width of a far-wider band.  This is
-    the same economics that makes the ``"split"`` whole-model scan beat
-    ``"fused"``: the denser engine's rows are ~15× narrower than the
-    sparser engine's, so folding them into one matrix wastes most of its
-    cells.  Zero-width rows are dropped (they have no events to scan).
+    why the whole-model scan runs one matrix per engine: the denser
+    engine's rows are ~15× narrower than the sparser engine's, so
+    folding them into one matrix wastes most of its cells.  Zero-width
+    rows are dropped (they have no events to scan).
     Returns int64 row-index arrays, one per band, narrowest band first.
     """
     bands = {}
@@ -307,32 +307,15 @@ class CycleAccurateSimulator(AttentionSimulatorBase):
         the per-layer reset points).  ``"scalar"`` runs the reference
         per-job event loop, layer by layer.  Both produce identical
         :class:`CycleSimResult` values.
-    scan:
-        Batched whole-model scan strategy (vectorized engine only).
-        ``"split"`` (default) runs per-engine scans — two compute + two
-        softmax launches per model.  ``"fused"`` folds BOTH engines of
-        every layer into one ``(2L × jobs)`` compute scan (denser rows
-        stacked on sparser rows, each row its own max-plus reset) and both
-        softmax queues into one ``(L × jobs)`` scan (a layer's softmax
-        unit serves denser then sparser requests as ONE FCFS queue) —
-        halving scan launches.  The two agree bit for bit (all durations
-        live on the ``2**-20``-cycle grid, so every association of the
-        event algebra is exact).  Measurement keeps ``"split"`` the
-        default: polarized masks make the denser engine ~15× narrower
-        than the sparser one, so padding both halves of the fused matrix
-        to a common width costs more than the saved launches (0.75–1.0×
-        across DeiT shapes; see the ``fused_scan`` benchmark) — the
-        per-engine split IS the width-banded optimal fold.
     """
 
     _ENGINES = ("vectorized", "scalar")
-    _SCANS = ("split", "fused")
 
     name = "CycleSim"
 
     def __init__(self, config: Optional[HardwareConfig] = None, use_ae=True,
                  ae_compression=0.5, dram: Optional[DramModel] = None,
-                 engine="vectorized", scan="split"):
+                 engine="vectorized"):
         self.config = config or VITCOD_DEFAULT
         self.use_ae = use_ae
         if not 0.0 < ae_compression <= 1.0:
@@ -341,13 +324,8 @@ class CycleAccurateSimulator(AttentionSimulatorBase):
             raise ValueError(
                 f"unknown engine {engine!r}; choose from {self._ENGINES}"
             )
-        if scan not in self._SCANS:
-            raise ValueError(
-                f"unknown scan {scan!r}; choose from {self._SCANS}"
-            )
         self.ae_compression = ae_compression
         self.engine = engine
-        self.scan = scan
         self.dram = dram or DramModel(
             bytes_per_cycle=self.config.bytes_per_cycle
         )
@@ -641,68 +619,6 @@ class CycleAccurateSimulator(AttentionSimulatorBase):
             )
         return self._simulate_attention_batched(layers)
 
-    @staticmethod
-    def _scan_split(load_done_d, load_done_s, d_cycles, s_cycles,
-                    sm_d, sm_s, n_d, n_s):
-        """Per-engine reference scans: two compute + two softmax launches.
-
-        Returns per-layer ``(t_denser, t_sparser, sm_free)`` finish times.
-        """
-        zeros = np.zeros((n_d.size, 1))
-        free_d = _queue_scan_rows(load_done_d, d_cycles, zeros)
-        free_s = _queue_scan_rows(load_done_s, s_cycles, zeros)
-        t_denser = _row_finals(free_d, n_d)
-        t_sparser = _row_finals(free_s, n_s)
-        sm_after_d = _queue_scan_rows(free_d, sm_d, zeros)
-        sm_free_d = _row_finals(sm_after_d, n_d)
-        sm_after_s = _queue_scan_rows(free_s, sm_s, sm_free_d[:, None])
-        sm_free = np.where(n_s > 0, _row_finals(sm_after_s, n_s), sm_free_d)
-        return t_denser, t_sparser, sm_free
-
-    @staticmethod
-    def _scan_fused(load_done_d, load_done_s, d_cycles, s_cycles,
-                    sm_d, sm_s, n_d, n_s):
-        """Both engines of every layer in ONE (2L × jobs) compute scan and
-        ONE (L × jobs) softmax scan — half the launches of the split path.
-
-        Rows stay independent max-plus resets, so stacking the denser rows
-        on the sparser rows changes nothing about any row's event algebra;
-        and a layer's softmax unit is ONE FCFS queue that serves all denser
-        requests before the sparser ones (exactly the event-loop order), so
-        concatenating the two request streams along the job axis replaces
-        the split path's carried ``init`` with the same running state.
-        Padded slots (zero duration, ``-inf`` request) are inert and carry
-        each row's completion to the final column, which therefore IS the
-        row's finish time.  All durations live on the ``2**-20``-cycle
-        grid, so every value here is produced by exact double-precision
-        ops and the fused and split scans agree bit for bit.
-        """
-        L = n_d.size
-        w_d, w_s = d_cycles.shape[1], s_cycles.shape[1]
-        width = max(w_d, w_s)
-        if width == 0:
-            return np.zeros(L), np.zeros(L), np.zeros(L)
-
-        durations = np.zeros((2 * L, width))
-        durations[:L, :w_d] = d_cycles
-        durations[L:, :w_s] = s_cycles
-        requests = np.full((2 * L, width), -np.inf)
-        requests[:L, :w_d] = load_done_d
-        requests[L:, :w_s] = load_done_s
-        free = _queue_scan_rows(requests, durations, np.zeros((2 * L, 1)))
-        t_denser = free[:L, -1]
-        t_sparser = free[L:, -1]
-
-        sm_requests = np.full((L, w_d + w_s), -np.inf)
-        mask_d = np.arange(w_d)[None, :] < n_d[:, None]
-        mask_s = np.arange(w_s)[None, :] < n_s[:, None]
-        sm_requests[:, :w_d][mask_d] = free[:L, :w_d][mask_d]
-        sm_requests[:, w_d:][mask_s] = free[L:, :w_s][mask_s]
-        sm_durations = np.concatenate([sm_d, sm_s], axis=1)
-        sm_after = _queue_scan_rows(sm_requests, sm_durations,
-                                    np.zeros((L, 1)))
-        return t_denser, t_sparser, sm_after[:, -1]
-
     def _simulate_attention_batched(self, layers) -> CycleSimResult:
         """All layers as one (layer × job) array pipeline.
 
@@ -759,15 +675,18 @@ class CycleAccurateSimulator(AttentionSimulatorBase):
         base_s = q_service + s_col * n_d
         load_done_s = _masked_load_times(base_s, s_col, n_s, pad_s.shape[1])
 
-        # Double-buffered compute, then the shared per-layer softmax queue:
-        # either one fused (2L × jobs) + (L × jobs) scan pair, or the
-        # per-engine reference scans — bit-identical by construction.
-        scan = (self._scan_fused if self.scan == "fused"
-                else self._scan_split)
-        t_denser, t_sparser, sm_free = scan(
-            load_done_d, load_done_s, d_cycles, s_cycles, sm_d, sm_s,
-            n_d, n_s,
-        )
+        # Double-buffered compute per engine, then the shared per-layer
+        # softmax queue: denser requests first, sparser ones queued behind
+        # the denser finish (a layer with no sparser jobs keeps it).
+        zeros = np.zeros((L, 1))
+        free_d = _queue_scan_rows(load_done_d, d_cycles, zeros)
+        free_s = _queue_scan_rows(load_done_s, s_cycles, zeros)
+        t_denser = _row_finals(free_d, n_d)
+        t_sparser = _row_finals(free_s, n_s)
+        sm_after_d = _queue_scan_rows(free_d, sm_d, zeros)
+        sm_free_d = _row_finals(sm_after_d, n_d)
+        sm_after_s = _queue_scan_rows(free_s, sm_s, sm_free_d[:, None])
+        sm_free = np.where(n_s > 0, _row_finals(sm_after_s, n_s), sm_free_d)
         sddmm_done = np.maximum(np.maximum(t_denser, t_sparser), sm_free)
 
         dram_free = q_service + s_col * (n_d + n_s)
@@ -924,9 +843,8 @@ class CycleAccurateSimulator(AttentionSimulatorBase):
         # (denser rows: ``S_excl``; sparser rows: the full denser sum
         # plus their own ``S_excl``), ``+inf`` in padded slots so padding
         # can never win the max.  All values live on the 2**-20 grid, so
-        # regrouping the concatenated queue this way is exact (the same
-        # argument that makes the fused and split whole-model scans agree
-        # bit for bit).
+        # regrouping the concatenated queue this way is exact (every
+        # association of the event algebra gives the same doubles).
         sm_total = np.empty(L)
         sm_denser_total = np.empty(L)
         for i, (sm_d, sm_s) in enumerate(softmax_cols):
@@ -1157,11 +1075,12 @@ class CycleAccurateSimulator(AttentionSimulatorBase):
         summand is the precomputed ``addend``; denser requests precede
         sparser ones exactly as in the event loop (the sparser rows'
         ``S_excl`` starts past the denser jobs' total softmax time), and
-        the concatenated queue equals the split path's carried-init
-        scans bit for bit (see :meth:`_scan_fused`).  Padded slots carry
+        the concatenated queue equals the whole-model path's carried-init
+        scans bit for bit (all values live on the ``2**-20`` grid, so
+        every association is exact).  Padded slots carry
         ``addend = -inf`` and layers without a denser (or sparser) row
-        keep that side's running max at ``-inf``, reproducing the split
-        path's empty-segment branches.
+        keep that side's running max at ``-inf``, reproducing the
+        whole-model path's empty-row branches.
         """
         g = geometry
         L = g["layers"]

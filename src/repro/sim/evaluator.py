@@ -393,8 +393,6 @@ class CycleSimEvaluator:
     ----------
     engine:
         Cycle-simulator engine (``"vectorized"`` default, or ``"scalar"``).
-    scan:
-        Whole-model scan strategy (``"split"`` default, or ``"fused"``).
     """
 
     name = "cycle"
@@ -413,9 +411,8 @@ class CycleSimEvaluator:
         for key in parameter.kwargs_keys
     )
 
-    def __init__(self, engine="vectorized", scan="split"):
+    def __init__(self, engine="vectorized"):
         self.engine = engine
-        self.scan = scan
 
     def __call__(self, workload, config, accel_kwargs):
         from ..hw.cycle_sim import CycleAccurateSimulator
@@ -428,7 +425,7 @@ class CycleSimEvaluator:
                 f"{sorted(self._SUPPORTED_KWARGS)}"
             )
         sim = CycleAccurateSimulator(
-            config=config, engine=self.engine, scan=self.scan, **accel_kwargs
+            config=config, engine=self.engine, **accel_kwargs
         )
         result = sim.simulate_attention(workload)
         return EvalMetrics(
@@ -507,9 +504,7 @@ class BatchedCycleSimEvaluator(CycleSimEvaluator):
                 f"{sorted(unsupported)}; the cycle simulator only models "
                 f"{sorted(self._SUPPORTED_KWARGS)}"
             )
-        sim = CycleAccurateSimulator(
-            config=base_config, engine=self.engine, scan=self.scan
-        )
+        sim = CycleAccurateSimulator(config=base_config, engine=self.engine)
         columns = dse_grid_columns(
             names, list(value_rows), default_ae=sim.ae_compression
         )
@@ -553,38 +548,13 @@ class HybridEvaluator:
     Pareto pruning, then only the surviving frontier is re-scored with
     :attr:`fine` (in deterministic grid order).  Used as a plain evaluator
     on a single point it simply defers to :attr:`fine`.
-
-    ``adaptive=True`` opts the fine phase into band-pruned re-scoring:
-    the engine tracks the observed fine/coarse objective-ratio band as
-    survivors are scored and skips the survivors whose *optimistic* fine
-    estimate — coarse objectives scaled by the smallest observed ratio,
-    shrunk by ``band_slack`` — is already strictly dominated by an
-    actually-scored fine point.  Under the band assumption (each
-    objective's true fine/coarse ratio stays above the observed minimum
-    times ``1 - band_slack``) a skipped survivor is provably off the
-    final fine frontier, so the fine *frontier* is unchanged while
-    frontier-adjacent survivors stop costing cycle-accurate runs; the
-    returned survivor *list* shrinks accordingly.  Adaptive hybrids run
-    their fine phase serially in-process (deterministic regardless of
-    ``n_jobs``) and cannot drive a sharded merge
-    (:func:`repro.dist.merge_store` rejects them).
     """
 
     name = "hybrid"
 
-    def __init__(
-        self,
-        coarse: Evaluator = None,
-        fine: Evaluator = None,
-        adaptive: bool = False,
-        band_slack: float = 0.25,
-    ):
+    def __init__(self, coarse: Evaluator = None, fine: Evaluator = None):
         self.coarse = coarse if coarse is not None else BatchedAnalyticalEvaluator()
         self.fine = fine if fine is not None else BatchedCycleSimEvaluator()
-        self.adaptive = bool(adaptive)
-        if not 0.0 <= band_slack < 1.0:
-            raise ValueError("band_slack must be in [0, 1)")
-        self.band_slack = float(band_slack)
 
     def __call__(self, workload, config, accel_kwargs):
         return self.fine(workload, config, accel_kwargs)
@@ -654,19 +624,15 @@ def evaluator_spec(evaluator) -> dict:
         # bit-identically, so they share the manifest spec.
         return {"name": "analytical"}
     if kind is CycleSimEvaluator or kind is BatchedCycleSimEvaluator:
-        # Same sharing: existing "cycle" manifests stay valid and a
-        # batched shard produces the store a per-point shard would.
-        return {"name": "cycle", "engine": evaluator.engine, "scan": evaluator.scan}
+        # Same sharing: a batched shard produces the store a per-point
+        # shard would.
+        return {"name": "cycle", "engine": evaluator.engine}
     if kind is HybridEvaluator:
-        spec = {
+        return {
             "name": "hybrid",
             "coarse": evaluator_spec(evaluator.coarse),
             "fine": evaluator_spec(evaluator.fine),
         }
-        if evaluator.adaptive:
-            spec["adaptive"] = True
-            spec["band_slack"] = evaluator.band_slack
-        return spec
     name = getattr(evaluator, "name", None) or kind.__qualname__
     return {"name": f"custom:{name}"}
 
@@ -681,13 +647,10 @@ def evaluator_spec(evaluator) -> dict:
 #: seeded fault injection (see the README's failure runbook).
 _SPEC_KEYS = {
     "analytical": frozenset({"name", "faults"}),
-    "cycle": frozenset({"name", "engine", "scan", "faults"}),
-    "hybrid": frozenset(
-        {"name", "coarse", "fine", "adaptive", "band_slack", "faults"}
-    ),
+    "cycle": frozenset({"name", "engine", "faults"}),
+    "hybrid": frozenset({"name", "coarse", "fine", "faults"}),
 }
 _CYCLE_ENGINES = ("vectorized", "scalar")
-_CYCLE_SCANS = ("split", "fused")
 
 
 def _spec_error(spec, problem):
@@ -698,9 +661,9 @@ def evaluator_from_spec(spec) -> Evaluator:
     """Reconstruct an evaluator from an :func:`evaluator_spec` dict.
 
     Accepts a bare name string as shorthand for ``{"name": ...}``.  The
-    spec is *validated*, not merely pattern-matched: unknown fields, an
-    engine/scan outside the simulator's vocabulary, or a non-boolean
-    ``adaptive`` raise :class:`ValueError` with the offending field named
+    spec is *validated*, not merely pattern-matched: unknown fields or an
+    engine outside the simulator's vocabulary raise :class:`ValueError`
+    with the offending field named
     — specs cross host and process boundaries (store manifests, the HTTP
     job API), where a silently-tolerated typo would score a different
     study than the one requested.  ``custom:*`` specs (and unknown
@@ -748,16 +711,7 @@ def evaluator_from_spec(spec) -> Evaluator:
         engine = spec.get("engine", "vectorized")
         if engine not in _CYCLE_ENGINES:
             raise _spec_error(spec, f"engine must be one of {_CYCLE_ENGINES}")
-        scan = spec.get("scan", "split")
-        if scan not in _CYCLE_SCANS:
-            raise _spec_error(spec, f"scan must be one of {_CYCLE_SCANS}")
-        return BatchedCycleSimEvaluator(engine=engine, scan=scan)
-    adaptive = spec.get("adaptive", False)
-    if not isinstance(adaptive, bool):
-        raise _spec_error(spec, "'adaptive' must be a boolean")
-    band_slack = spec.get("band_slack", 0.25)
-    if isinstance(band_slack, bool) or not isinstance(band_slack, (int, float)):
-        raise _spec_error(spec, "'band_slack' must be a number in [0, 1)")
+        return BatchedCycleSimEvaluator(engine=engine)
     coarse = spec.get("coarse")
     fine = spec.get("fine")
     for role, sub in (("coarse", coarse), ("fine", fine)):
@@ -766,12 +720,7 @@ def evaluator_from_spec(spec) -> Evaluator:
                 spec,
                 f"fault plans attach to the top-level evaluator, not {role!r}",
             )
-    try:
-        return HybridEvaluator(
-            coarse=evaluator_from_spec(coarse) if coarse else None,
-            fine=evaluator_from_spec(fine) if fine else None,
-            adaptive=adaptive,
-            band_slack=float(band_slack),
-        )
-    except ValueError as exc:
-        raise _spec_error(spec, str(exc)) from None
+    return HybridEvaluator(
+        coarse=evaluator_from_spec(coarse) if coarse else None,
+        fine=evaluator_from_spec(fine) if fine else None,
+    )

@@ -6,8 +6,8 @@ max-plus walk) is **bit-for-bit** the per-point ``CycleSimEvaluator``
 loop — points, ordering, Pareto frontier, failure attribution, structural
 rejections.  Property-tested over random grids of every parameter the
 cycle simulator models; plus the width-band sub-batching invariants, the
-whole-chunk ``ParetoFront.offer_all`` equivalence, and the adaptive
-hybrid fine phase.  This is the CI-enforced guarantee that makes batching
+whole-chunk ``ParetoFront.offer_all`` equivalence, and the hybrid fine
+phase.  This is the CI-enforced guarantee that makes batching
 an execution detail rather than a model change.
 """
 
@@ -112,17 +112,6 @@ class TestBitExactness:
             assert metrics.seconds == expected.seconds
             assert metrics.energy_joules == expected.energy_joules
 
-    def test_fused_scan_batches_identically(self, small_workload):
-        grid = {"mac_lines": [16, 64], "ae_compression": [None, 0.5]}
-        per_point = sweep_design_space(
-            small_workload, grid, evaluator=CycleSimEvaluator(scan="fused")
-        )
-        batched = sweep_design_space(
-            small_workload, grid,
-            evaluator=BatchedCycleSimEvaluator(scan="fused"),
-        )
-        assert batched == per_point
-
     def test_indexed_subset_matches_per_point(self, small_workload):
         grid = {"mac_lines": [16, 32, 64], "ae_compression": [None, 0.5]}
         per_point = dict(iter_indexed_design_points(
@@ -178,7 +167,7 @@ class TestBatchEngine:
             sweep_design_space(small_workload, grid, evaluator="cycle")
 
     def test_spec_round_trip_shared_with_per_point(self):
-        spec = {"name": "cycle", "engine": "vectorized", "scan": "split"}
+        spec = {"name": "cycle", "engine": "vectorized"}
         assert evaluator_spec(BatchedCycleSimEvaluator()) == spec
         assert evaluator_spec(CycleSimEvaluator()) == spec
         rebuilt = evaluator_from_spec(spec)
@@ -284,8 +273,8 @@ class TestWidthBands:
     def test_geometry_pads_within_band_only(self):
         """The grid geometry's padded matrices are exactly each band's
         own width — a narrow denser row never pays for the sparser
-        engine's width (the failure mode that made "fused" lose to
-        "split" in the whole-model scans)."""
+        engine's width (the failure mode that keeps the whole-model scan
+        at one matrix per engine)."""
         layers = [synthetic_attention_workload(96, 2, 32, sparsity=s, seed=i)
                   for i, s in enumerate((0.95, 0.7))]
         sim = CycleAccurateSimulator()
@@ -418,46 +407,6 @@ class TestHybrid:
         )
         assert batched == per_point
 
-    def test_adaptive_prunes_but_preserves_fine_frontier(
-            self, small_workload):
-        """Satellite: the adaptive fine phase may skip frontier-adjacent
-        survivors, but the fine Pareto frontier must match the full
-        re-score's, and the survivor list must be a subset of it."""
-        grid = {"mac_lines": [8, 16, 32, 64, 128, 256],
-                "bandwidth_gbps": [19.2, 76.8, 153.6],
-                "ae_compression": [None, 0.25, 0.5, 1.0]}
-        full = sweep_design_space(small_workload, grid, evaluator="hybrid")
-        adaptive = sweep_design_space(
-            small_workload, grid, evaluator=HybridEvaluator(adaptive=True)
-        )
-        assert pareto_frontier(adaptive) == pareto_frontier(full)
-        assert set(p.parameters for p in adaptive) <= \
-            set(p.parameters for p in full)
-        assert len(adaptive) <= len(full)
-
-    def test_adaptive_is_deterministic_across_n_jobs(self, small_workload):
-        grid = {"mac_lines": [8, 16, 32, 64, 128],
-                "ae_compression": [None, 0.5]}
-        evaluator = HybridEvaluator(adaptive=True)
-        serial = sweep_design_space(small_workload, grid,
-                                    evaluator=evaluator)
-        parallel = sweep_design_space(small_workload, grid, n_jobs=3,
-                                      evaluator=evaluator)
-        assert parallel == serial
-
-    def test_adaptive_spec_round_trip(self):
-        evaluator = HybridEvaluator(adaptive=True, band_slack=0.1)
-        spec = evaluator_spec(evaluator)
-        assert spec["adaptive"] is True and spec["band_slack"] == 0.1
-        rebuilt = evaluator_from_spec(spec)
-        assert rebuilt.adaptive and rebuilt.band_slack == 0.1
-        # Non-adaptive hybrids keep the historical spec (manifest compat).
-        assert "adaptive" not in evaluator_spec(HybridEvaluator())
-
-    def test_band_slack_validated(self):
-        with pytest.raises(ValueError, match="band_slack"):
-            HybridEvaluator(adaptive=True, band_slack=1.5)
-
 
 class TestDistShards:
     def test_cycle_shards_batched_vs_per_point_stores_identical(
@@ -486,13 +435,3 @@ class TestDistShards:
             direct = sweep_design_space(small_workload, grid,
                                         evaluator="cycle")
         assert list(batched.points) == direct
-
-    def test_merge_rejects_adaptive_hybrid(self, small_workload, tmp_path):
-        from repro.dist import merge_store, run_shard
-
-        grid = {"mac_lines": [16, 32]}
-        run_shard(small_workload, grid, "1/1", tmp_path,
-                  evaluator=HybridEvaluator())
-        with pytest.raises(ValueError, match="adaptive"):
-            merge_store(tmp_path, workload=small_workload,
-                        evaluator=HybridEvaluator(adaptive=True))

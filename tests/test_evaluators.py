@@ -275,12 +275,11 @@ class TestEvaluatorSpecs:
 
         for spec in (
             {"name": "analytical"},
-            {"name": "cycle", "engine": "scalar", "scan": "split"},
-            {"name": "cycle", "engine": "vectorized", "scan": "fused"},
+            {"name": "cycle", "engine": "scalar"},
+            {"name": "cycle", "engine": "vectorized"},
             {"name": "hybrid",
              "coarse": {"name": "analytical"},
-             "fine": {"name": "cycle", "engine": "vectorized",
-                      "scan": "split"}},
+             "fine": {"name": "cycle", "engine": "vectorized"}},
         ):
             assert evaluator_spec(evaluator_from_spec(spec)) == spec
 
@@ -330,7 +329,7 @@ class TestSpecHardening:
         from repro.sim import evaluator_from_spec
 
         assert evaluator_from_spec("analytical").name == "analytical"
-        assert evaluator_from_spec("hybrid").adaptive is False
+        assert evaluator_from_spec("hybrid").name == "hybrid"
 
     def test_rejects_non_dict_specs(self):
         from repro.sim import evaluator_from_spec

@@ -272,6 +272,7 @@ class TestValidation:
                                    "blur": 1}},
                 "unknown workload_spec field",
             ),
+            ({"evaluator": {"name": "cycle", "scan": "split"}}, "scan"),
         ],
     )
     def test_rejects_before_touching_disk(self, manager, tmp_path,

@@ -112,57 +112,10 @@ class TestCycleSimBatched:
         layers = [random_layer(data, f"l{i}") for i in range(num_layers)]
         assert_batched_equals_layer_loop(layers)
 
-    def test_totals_are_field_sums(self):
-        wl = model_workload(get_config("deit-tiny"), sparsity=0.9)
-        total = CycleAccurateSimulator().simulate_attention(wl)
-        for f in dataclasses.fields(total):
-            if f.name == "per_layer":
-                continue
-            assert getattr(total, f.name) == pytest.approx(
-                sum(getattr(r, f.name) for r in total.per_layer)
-            )
-
-
-def assert_fused_equals_split(layers, **sim_kwargs):
-    """Fused (2L × jobs) scans == per-engine split scans, bit for bit."""
-    fused = CycleAccurateSimulator(scan="fused", **sim_kwargs)
-    split = CycleAccurateSimulator(scan="split", **sim_kwargs)
-    a = fused.simulate_attention(layers)
-    b = split.simulate_attention(layers)
-    assert dataclasses.astuple(a) == dataclasses.astuple(b)
-    return a
-
-
-class TestFusedScan:
-    """One (2L × jobs) compute scan + one (L × jobs) softmax scan must be
-    indistinguishable from the per-engine scans (and hence from the scalar
-    event loop, which the split path is already held to)."""
-
-    def test_split_is_the_default(self):
-        """Measured choice: split is the width-banded optimum (the fused
-        fold pads the ~15×-narrower denser engine to the sparser width)."""
-        assert CycleAccurateSimulator().scan == "split"
-
-    def test_unknown_scan_rejected(self):
-        with pytest.raises(ValueError, match="unknown scan"):
-            CycleAccurateSimulator(scan="diagonal")
-
-    @pytest.mark.parametrize("model", ["deit-tiny", "levit-128"])
-    def test_models(self, model):
-        wl = model_workload(get_config(model), sparsity=0.9)
-        assert_fused_equals_split(wl.attention_layers)
-
-    def test_dense_and_sparse_mix(self):
-        layers = [
-            dense_attention_workload(24, 2, 16),
-            synthetic_attention_workload(48, 2, 16, sparsity=0.9, seed=3),
-            synthetic_attention_workload(48, 2, 16, sparsity=0.7, seed=4),
-        ]
-        assert_fused_equals_split(layers)
-
     def test_empty_engines(self):
         """Layers with no denser jobs, no sparser jobs, or no jobs at all
-        exercise the fused scan's zero-width and carry-through paths."""
+        exercise the empty-row finals and the softmax carry past an empty
+        sparser engine."""
         no_denser = AttentionWorkload(
             num_tokens=8, num_heads=1, head_dim=4,
             heads=[HeadWorkload(
@@ -180,20 +133,18 @@ class TestFusedScan:
                 sparser_column_nnz=np.zeros(8, dtype=np.int64),
             )],
         )
-        assert_fused_equals_split([no_denser, no_sparser, no_jobs])
-        assert_fused_equals_split([no_jobs])
+        assert_batched_equals_layer_loop([no_denser, no_sparser, no_jobs])
+        assert_batched_equals_layer_loop([no_jobs])
 
-    @given(data=st.data())
-    @settings(max_examples=25, deadline=None)
-    def test_property_fused_equals_split(self, data):
-        """Random multi-layer stacks: fused == split == scalar, exactly."""
-        num_layers = data.draw(st.integers(1, 4), label="num_layers")
-        layers = [random_layer(data, f"l{i}") for i in range(num_layers)]
-        fused = assert_fused_equals_split(layers)
-        scalar = CycleAccurateSimulator(engine="scalar").simulate_attention(
-            layers
-        )
-        assert dataclasses.astuple(fused) == dataclasses.astuple(scalar)
+    def test_totals_are_field_sums(self):
+        wl = model_workload(get_config("deit-tiny"), sparsity=0.9)
+        total = CycleAccurateSimulator().simulate_attention(wl)
+        for f in dataclasses.fields(total):
+            if f.name == "per_layer":
+                continue
+            assert getattr(total, f.name) == pytest.approx(
+                sum(getattr(r, f.name) for r in total.per_layer)
+            )
 
 
 class TestAnalyticalBatched:
