@@ -1,8 +1,8 @@
 """Workload-construction and DSE-sweep microbenchmarks.
 
 The DSE benchmark measures the end-to-end cost a sweep actually pays:
-cold = rebuild the workload from masks, then evaluate the grid serially;
-warm = cached workload + ``n_jobs`` worker fan-out.  Workload construction
+cold = rebuild the workload from masks, then evaluate the grid; warm =
+the same sweep over the cached workload.  Workload construction
 dominates, which is exactly why :mod:`repro.perf` memoises it.
 """
 
@@ -39,8 +39,8 @@ def test_workload_build_cache(bench_recorder, bench_mode):
         assert speedup >= 10.0, f"cache hit only {speedup:.1f}x faster"
 
 
-def test_dse_sweep_cached_parallel(bench_recorder, bench_mode):
-    """Full sweep cost: cold build + serial grid vs cached + parallel grid."""
+def test_dse_sweep_cached(bench_recorder, bench_mode):
+    """Full sweep cost: cold build + grid vs cached workload + grid."""
     full = bench_mode == "full"
     model = "deit-base" if full else "deit-tiny"
     cfg = get_config(model)
@@ -50,7 +50,6 @@ def test_dse_sweep_cached_parallel(bench_recorder, bench_mode):
                 "ae_compression": [None, 0.5]}
     else:
         grid = {"mac_lines": [32, 64], "ae_compression": [None, 0.5]}
-    n_jobs = 4 if full else 2
 
     def cold_sweep():
         wl = model_workload(cfg, sparsity=0.9)
@@ -58,14 +57,14 @@ def test_dse_sweep_cached_parallel(bench_recorder, bench_mode):
 
     def warm_sweep():
         wl = cached_model_workload(model, sparsity=0.9)
-        return sweep_design_space(wl, grid, n_jobs=n_jobs)
+        return sweep_design_space(wl, grid)
 
     cold = benchit(cold_sweep, name="cold_serial",
                    repeats=3 if full else 1, warmup=0)
     cached_model_workload(model, sparsity=0.9)  # prime the shared cache
-    warm = benchit(warm_sweep, name="cached_parallel",
+    warm = benchit(warm_sweep, name="cached_serial",
                    repeats=5 if full else 1, warmup=1)
-    # Parallel + cached must not change the answer.
+    # The cached workload must not change the answer.
     points_cold = cold_sweep()
     points_warm = warm_sweep()
     assert points_warm == points_cold
@@ -76,14 +75,13 @@ def test_dse_sweep_cached_parallel(bench_recorder, bench_mode):
         "dse_sweep",
         model=model,
         grid_points=len(points_warm),
-        n_jobs=n_jobs,
         frontier_size=len(frontier),
         cold_serial=cold.to_dict(),
-        cached_parallel=warm.to_dict(),
-        speedup_cached_parallel=speedup,
+        cached_serial=warm.to_dict(),
+        speedup_cached=speedup,
     )
     if full:
-        assert speedup >= 2.0, f"cached+parallel sweep only {speedup:.1f}x"
+        assert speedup >= 2.0, f"cached sweep only {speedup:.1f}x"
 
 
 def test_batched_analytical_dse(bench_recorder, bench_mode):
@@ -211,12 +209,10 @@ def test_batched_cycle_dse(bench_recorder, bench_mode):
 def test_cycle_sim_dse(bench_recorder, bench_mode):
     """Cycle-accurate sweeps through the evaluator-pluggable engine.
 
-    Three strategies over the same grid: the full event-driven sweep run
-    serially, the same sweep fanned across workers, and the hybrid sweep
-    (analytical prune, cycle-accurate re-score of the surviving frontier).
-    The hybrid win scales with grid size over frontier size; the parallel
-    ratio is recorded honestly — vectorized cycle-sim points are cheap
-    enough (~2 ms) that pool overhead can eat the fan-out on small grids.
+    Two strategies over the same grid: the full per-point event-driven
+    sweep and the hybrid sweep (analytical prune, cycle-accurate re-score
+    of the surviving frontier).  The hybrid win scales with grid size over
+    frontier size.
     """
     full = bench_mode == "full"
     model = "deit-base" if full else "deit-tiny"
@@ -226,18 +222,13 @@ def test_cycle_sim_dse(bench_recorder, bench_mode):
                 "ae_compression": [None, 0.5]}
     else:
         grid = {"mac_lines": [32, 64], "ae_compression": [None, 0.5]}
-    n_jobs = 4 if full else 2
     wl = cached_model_workload(model, sparsity=0.9)
     evaluator = CycleSimEvaluator()
 
     serial_points = sweep_design_space(wl, grid, evaluator=evaluator)
     hybrid_points = sweep_design_space(wl, grid, evaluator="hybrid")
-    # Sanity before timing: parallel == serial, hybrid == the cycle-scored
-    # analytical frontier (a subset of the full cycle sweep's grid).
-    assert sweep_design_space(wl, grid, evaluator=evaluator,
-                              n_jobs=n_jobs) == serial_points
-    assert sweep_design_space(wl, grid, evaluator="hybrid",
-                              n_jobs=n_jobs) == hybrid_points
+    # Sanity before timing: hybrid == the cycle-scored analytical frontier
+    # (a subset of the full cycle sweep's grid).
     assert {p.parameters for p in hybrid_points} <= \
         {p.parameters for p in serial_points}
 
@@ -245,23 +236,6 @@ def test_cycle_sim_dse(bench_recorder, bench_mode):
     serial = benchit(
         lambda: sweep_design_space(wl, grid, evaluator=evaluator),
         name="cycle_serial", repeats=repeats, warmup=1)
-    # Raw pool fan-out (min_parallel_s=0 bypasses the pilot): the number
-    # that exposed the cheap-point regression — vectorized points cost
-    # ~2 ms, so pool dispatch eats the fan-out on grids this small.
-    forced = benchit(
-        lambda: sweep_design_space(wl, grid, evaluator=evaluator,
-                                   n_jobs=n_jobs, min_parallel_s=0.0),
-        name="cycle_parallel_forced", repeats=repeats, warmup=1)
-    # The adaptive default pilots the first points and stays serial when
-    # the whole sweep is cheaper than spawning workers, so n_jobs > 1 is
-    # no longer a footgun on cheap grids (the fix for the ~0.7× above).
-    adaptive = benchit(
-        lambda: sweep_design_space(wl, grid, evaluator=evaluator,
-                                   n_jobs=n_jobs),
-        name="cycle_parallel_adaptive", repeats=repeats, warmup=1)
-    # Hybrid runs serially: the analytical prune costs well under a
-    # millisecond per point, so pool overhead would swamp the phase-1 win
-    # (fan-out pays off once per-point cost dwarfs worker dispatch).
     hybrid = benchit(
         lambda: sweep_design_space(wl, grid, evaluator="hybrid"),
         name="hybrid_serial", repeats=repeats, warmup=1)
@@ -271,20 +245,10 @@ def test_cycle_sim_dse(bench_recorder, bench_mode):
         model=model,
         grid_points=len(serial_points),
         survivors=len(hybrid_points),
-        n_jobs=n_jobs,
         cycle_serial=serial.to_dict(),
-        cycle_parallel_forced=forced.to_dict(),
-        cycle_parallel_adaptive=adaptive.to_dict(),
         hybrid_serial=hybrid.to_dict(),
-        speedup_parallel_forced=serial.best / forced.best,
-        speedup_parallel_adaptive=serial.best / adaptive.best,
         speedup_hybrid_vs_full_cycle=serial.best / hybrid.best,
     )
     if full:
         speedup = serial.best / hybrid.best
         assert speedup >= 2.0, f"hybrid sweep only {speedup:.2f}x"
-        # The adaptive path must never lose much to the serial sweep:
-        # its pilot is two points of real work plus one timing call.
-        adaptive_ratio = serial.best / adaptive.best
-        assert adaptive_ratio >= 0.8, \
-            f"adaptive n_jobs sweep regressed to {adaptive_ratio:.2f}x"

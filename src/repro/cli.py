@@ -6,7 +6,7 @@ Runs any of the paper's experiments headlessly and prints/export results:
     python -m repro fig19 --json results.json
     python -m repro roofline
     python -m repro polarize --tokens 197 --heads 12
-    python -m repro dse --models deit-tiny --evaluator cycle --n-jobs 4
+    python -m repro dse --models deit-tiny --evaluator cycle
     python -m repro dse --models deit-base --batch-size 2048   # batched grid
     python -m repro dse --models deit-base --no-batch          # per-point ref
     python -m repro list
@@ -146,12 +146,10 @@ def build_parser():
                         help="dse: one swept parameter (repeatable), e.g. "
                              "--grid mac_lines=32,64 --grid "
                              "ae_compression=none,0.5")
-    parser.add_argument("--n-jobs", type=int, default=1,
-                        help="dse: parallel evaluation workers (default 1)")
     parser.add_argument("--batch-size", type=int, default=None, metavar="N",
                         help="dse/dse-shard: grid points scored per batch "
                              "chunk for batch-capable evaluators (default "
-                             "adaptive, ~1024)")
+                             "1024)")
     parser.add_argument("--no-batch", action="store_true",
                         help="dse/dse-shard: force per-point evaluation "
                              "(the batched analytical path is bit-identical"
@@ -520,7 +518,7 @@ def _run(args):
             with obs.span("dse_workload", model=model):
                 workload = cached_model_workload(model, sparsity=args.sparsity)
             points = sweep_design_space(
-                workload, grid, n_jobs=args.n_jobs,
+                workload, grid,
                 evaluator=evaluator,
                 chunksize=args.batch_size,
             )
@@ -568,7 +566,7 @@ def _run(args):
         run = run_shard(
             workload, grid, args.shard, out,
             evaluator=evaluator,
-            n_jobs=args.n_jobs, chunksize=args.batch_size,
+            chunksize=args.batch_size,
             workload_spec=model_workload_spec(model, sparsity=args.sparsity),
             steal=args.steal, steal_chunk=args.steal_chunk,
             claim_ttl=args.claim_ttl, handicap=args.handicap,
@@ -617,8 +615,6 @@ def _run(args):
             shard_args.append("--no-batch")
         if args.batch_size is not None:
             shard_args += ["--batch-size", str(args.batch_size)]
-        if args.n_jobs != 1:
-            shard_args += ["--n-jobs", str(args.n_jobs)]
         if args.steal:
             shard_args.append("--steal")
         if args.steal_chunk is not None:
@@ -667,7 +663,7 @@ def _run(args):
         store = args.store or args.out
         if not store:
             raise SystemExit("dse-merge requires a store directory")
-        merged = merge_store(store, n_jobs=args.n_jobs)
+        merged = merge_store(store)
         manifest = merged.manifest
         workload_spec = manifest.get("workload", {})
         line = (f"merged {manifest['num_shards']} shards "

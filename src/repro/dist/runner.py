@@ -3,13 +3,12 @@
 :func:`run_shard` is the per-host entry point of a distributed study
 (``python -m repro dse-shard`` wraps it): compute the shard's index set,
 skip every index the store already holds a completion record for, stream
-the rest through the shared DSE engine (any pluggable evaluator, optional
-in-host ``n_jobs`` fan-out), and append one record per point as it
-completes.  Batch-capable evaluators — the analytical default and the
-batched cycle simulator ``"cycle"`` resolves to — score the shard's
-strided index set in bounded whole-chunk numpy batches
-(:mod:`repro.harness.dse`), still emitting one durable completion record
-per point.  Killing the process at any moment loses at most the chunk in
+the rest through the shared DSE engine (any pluggable evaluator), and
+append one record per point as it completes.  Batch-capable evaluators
+— the analytical default and the batched cycle simulator ``"cycle"``
+resolves to — score the shard's strided index set in bounded whole-chunk
+numpy batches (:mod:`repro.harness.dse`), still emitting one durable
+completion record per point.  Killing the process at any moment loses at most the chunk in
 flight (one point, for per-point evaluators); re-running the same command
 finishes the shard.
 
@@ -53,7 +52,7 @@ from ..faults.evaluator import FaultyEvaluator
 from ..faults.plan import activate, active_plan
 from ..harness.dse import PointFailure, grid_size, iter_indexed_design_points
 from ..hw.params import VITCOD_DEFAULT
-from ..perf.cache import cached_model_workload, seeded_workload
+from ..perf.cache import cached_model_workload
 from ..sim.evaluator import HybridEvaluator, resolve_evaluator
 from .sharding import ShardSpec
 from .store import JsonlAppender, ResultStore, build_manifest, encode_record
@@ -222,7 +221,6 @@ def _score_into(
     indices,
     *,
     base_config,
-    n_jobs,
     chunksize,
     evaluator,
     handicap,
@@ -269,7 +267,6 @@ def _score_into(
             grid,
             batch,
             base_config=base_config,
-            n_jobs=n_jobs,
             chunksize=chunksize,
             evaluator=evaluator,
             keep_failures=True,
@@ -441,7 +438,6 @@ def _steal_missing(
     store,
     base_config,
     evaluator,
-    n_jobs,
     chunksize,
     steal_chunk,
     claim_ttl,
@@ -481,7 +477,6 @@ def _steal_missing(
                     grid,
                     batch,
                     base_config=base_config,
-                    n_jobs=n_jobs,
                     chunksize=chunksize,
                     evaluator=evaluator,
                     handicap=handicap,
@@ -507,7 +502,6 @@ def run_shard(
     store,
     base_config=None,
     evaluator=None,
-    n_jobs=1,
     chunksize=None,
     workload_spec=None,
     steal=False,
@@ -539,14 +533,11 @@ def run_shard(
     ``handicap`` sleeps that many seconds per recorded point (an
     artificial straggler for stealing tests and benchmarks).
 
-    ``workload=None`` uses the workload a pool initializer seeded into
-    this process (:func:`repro.perf.seed_worker_workload`), mirroring the
-    DSE engine's worker convention.  Hybrid evaluators shard their
-    *coarse* phase here; the fine re-score belongs to the merge step
-    (:func:`repro.dist.merge_store`), which needs the whole grid.
-    ``workload_spec`` (see :func:`model_workload_spec`) is stored in the
-    manifest so other hosts can verify — and the merge host rebuild —
-    the workload.
+    Hybrid evaluators shard their *coarse* phase here; the fine re-score
+    belongs to the merge step (:func:`repro.dist.merge_store`), which
+    needs the whole grid.  ``workload_spec`` (see
+    :func:`model_workload_spec`) is stored in the manifest so other hosts
+    can verify — and the merge host rebuild — the workload.
 
     Failures are classified: a *transient* one (the evaluator raised a
     :class:`repro.faults.TransientError` or ``OSError``) is re-evaluated
@@ -569,13 +560,6 @@ def run_shard(
         scoring.coarse if isinstance(scoring, HybridEvaluator) else scoring
     )
     base_config = base_config or VITCOD_DEFAULT
-    if workload is None:
-        workload = seeded_workload()
-        if workload is None:
-            raise ValueError(
-                "workload is required (or seed the process "
-                "with repro.perf.seed_worker_workload)"
-            )
 
     # Pin the store to this workload's *structure*, recipe or not: two
     # shards run against different workloads then disagree on the
@@ -646,7 +630,6 @@ def run_shard(
                     grid,
                     pending(),
                     base_config=base_config,
-                    n_jobs=n_jobs,
                     chunksize=chunksize,
                     evaluator=point_evaluator,
                     handicap=handicap,
@@ -671,7 +654,6 @@ def run_shard(
                     store,
                     base_config,
                     point_evaluator,
-                    n_jobs,
                     chunksize,
                     steal_chunk or _STEAL_CHUNK,
                     claim_ttl,

@@ -13,8 +13,8 @@ All evaluation goes through ONE streaming engine:
   materialised, and an incremental :class:`ParetoFront` can prune the
   stream on the fly (pass ``frontier=``);
 * :func:`sweep_design_space` is the eager wrapper: it drains the stream
-  and restores deterministic grid order, so serial and parallel runs are
-  interchangeable (and equal to the streaming results point for point).
+  into a list in deterministic grid order (equal to the streaming results
+  point for point).
 
 *What* scores a point is pluggable (:mod:`repro.sim.evaluator`): pass
 ``evaluator=`` — ``"analytical"`` (the default closed-form model),
@@ -22,54 +22,36 @@ All evaluation goes through ONE streaming engine:
 engine), ``"hybrid"`` (prune analytically, re-score the surviving frontier
 cycle-accurately, survivors in deterministic grid order), or any
 :class:`~repro.sim.evaluator.Evaluator` instance.  A point whose evaluator
-raises is dropped with a :class:`RuntimeWarning` (the sweep never hangs on
-a poisoned worker task); unknown grid *parameters* still raise.
+raises is dropped with a :class:`RuntimeWarning`; unknown grid
+*parameters* still raise.
 
 Evaluators that implement the
 :class:`~repro.sim.evaluator.BatchEvaluator` surface — the analytical
 default does — are handed whole bounded chunks of grid points and score
 them as single numpy batch ops instead of one Python call per point, in
-serial runs, in pool workers, in the hybrid coarse phase and in
-:mod:`repro.dist` shards alike.  Batching is an execution detail only:
-results are bit-for-bit the per-point sweep's (points, ordering, Pareto
-frontier, failure attribution), which is CI-enforced.  Pass a plain
+plain sweeps, in the hybrid coarse phase and in :mod:`repro.dist` shards
+alike.  Batching is an execution detail only: results are bit-for-bit
+the per-point sweep's (points, ordering, Pareto frontier, failure
+attribution), which is CI-enforced.  Pass a plain
 :class:`~repro.sim.evaluator.AnalyticalEvaluator` instance (CLI:
 ``--no-batch``) to force per-point execution, and ``chunksize`` (CLI:
 ``--batch-size``) to override the batch granularity.
 
-Parallel runs fan grid points across ``concurrent.futures`` workers in
-chunks with a bounded number of chunks in flight, yielding chunks
-``as_completed``; the workload is shipped once per worker through the pool
-initializer (:func:`repro.perf.seed_worker_workload`), so per-workload
-memoized geometry is derived once per worker, not once per chunk.
-:func:`sweep_design_space` additionally *pilots* the first grid points
-before committing to a pool: sweeps whose total estimated cost is below
-the cost of spawning workers run serially (cheap analytical grids used to
-pay a ~0.7× "speedup" for their pool), and sweeps that do fan out size
-their chunks to a wall-clock target instead of a fixed point count.
-
-The deterministic grid indexing is also a *partition key*: every grid
-point has one index in the lexicographic cross-product order, exposed via
-:func:`grid_size` / :func:`grid_point` /
-:func:`iter_indexed_design_points`, which is what :mod:`repro.dist` shards
-across hosts (each shard evaluates a disjoint index subset and a merge
-reproduces the single-process sweep bit for bit).
+Every sweep runs in the calling process.  The deterministic grid
+indexing is also a *partition key*: every grid point has one index in the
+lexicographic cross-product order, exposed via :func:`grid_size` /
+:func:`grid_point` / :func:`iter_indexed_design_points`, which is what
+:mod:`repro.dist` shards across processes and hosts (each shard evaluates
+a disjoint index subset and a merge reproduces the single-process sweep
+bit for bit) — multi-core sweeps go through ``dse-fleet`` / ``dse-shard``
+and ``dse-merge``.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
 from dataclasses import dataclass
 from itertools import islice, product
-from math import ceil
-from time import perf_counter
 from typing import Dict, Iterable, Iterator, List, Sequence
 
 import numpy as np
@@ -78,7 +60,6 @@ from .. import obs
 from ..faults.errors import TransientError
 from ..hw.params import VITCOD_DEFAULT, HardwareConfig
 from ..hw.workload import ModelWorkload
-from ..perf.cache import seed_worker_workload, seeded_workload
 from ..sim.evaluator import (
     Evaluator,
     HybridEvaluator,
@@ -150,14 +131,14 @@ class PointFailure:
 
 
 def _evaluate_design_point(workload, base_config, names, values, evaluator: Evaluator):
-    """Evaluate one grid point (module-level so process pools can pickle it).
+    """Evaluate one grid point.
 
     Unknown/misrouted grid parameters raise (a malformed *grid* is a caller
     bug, including an :class:`~repro.sim.evaluator.UnsupportedParameterError`
     from an evaluator that cannot honour a swept knob); any other exception
     from the evaluator itself — a simulator blowing up on one configuration
-    — is captured as a :class:`PointFailure` so a pool worker returns it
-    instead of poisoning its whole chunk.
+    — is captured as a :class:`PointFailure` so one bad point does not
+    abort the rest of its chunk.
     """
     config = base_config
     accel_kwargs: dict = {}
@@ -224,11 +205,7 @@ def _chunk_points_from_batch(base_config, names, chunk, metrics):
 
 
 def _evaluate_chunk(workload, base_config, names, chunk, evaluator):
-    """Evaluate a list of ``(grid_index, values)`` pairs in one task.
-
-    ``workload=None`` means "use the workload the pool initializer seeded
-    into this worker" (:func:`repro.perf.seed_worker_workload`) — chunk
-    tasks then carry no workload payload at all.
+    """Evaluate a list of ``(grid_index, values)`` pairs.
 
     A batch-capable evaluator (:func:`_batch_capable`) scores the whole
     chunk in one ``evaluate_batch`` call — one numpy walk instead of
@@ -240,8 +217,6 @@ def _evaluate_chunk(workload, base_config, names, chunk, evaluator):
     per-point evaluator failures as :class:`PointFailure` — so failure
     attribution is identical with and without batching.
     """
-    if workload is None:
-        workload = seeded_workload()
     if _batch_capable(evaluator):
         try:
             metrics = evaluator.evaluate_batch(
@@ -471,111 +446,12 @@ def _chunked(iterable, size):
         yield chunk
 
 
-#: Grid points bundled per parallel task: large enough to amortise the
-#: per-task workload pickle, small enough to keep the stream responsive.
-_STREAM_CHUNK = 16
-
 #: Grid points scored per ``evaluate_batch`` call when the evaluator is
 #: batch-capable: big enough to amortise every numpy launch across the
 #: chunk (the per-point share of array-op overhead is negligible by a few
 #: hundred points), small enough to bound the (points × layers)
-#: temporaries and keep streams/stores responsive.  Also the cap on
-#: planned parallel chunk sizes for batch evaluators.
+#: temporaries and keep streams/stores responsive.
 _BATCH_CHUNK = 1024
-
-#: Eager sweeps below this much estimated total work run serially even
-#: when ``n_jobs > 1``: spawning a process pool costs a few hundred
-#: milliseconds, which used to buy cheap-point sweeps a ~0.7× "speedup"
-#: (BENCH ``cycle_sim_dse`` at 48 vectorized points).
-_AUTO_SERIAL_SECONDS = 0.25
-
-#: Adaptive chunks aim for this much work per task: big enough to amortise
-#: dispatch, small enough to keep workers balanced near the sweep's tail.
-_TARGET_CHUNK_SECONDS = 0.05
-
-#: Grid points timed serially before committing a sweep to a pool.
-_PILOT_POINTS = 2
-
-
-def _plan_parallel(per_point_s, remaining, n_jobs, min_parallel_s):
-    """Pick ``(n_jobs, chunksize)`` from a measured per-point cost.
-
-    Serial (``n_jobs=1``) when the whole remaining sweep is estimated
-    cheaper than ``min_parallel_s`` (the pool would cost more than it
-    saves); otherwise chunks target :data:`_TARGET_CHUNK_SECONDS` of work
-    each — expensive points get small chunks (better balance), cheap
-    points get large ones (less dispatch) — capped at the historical
-    one-chunk-per-worker split and floored at one point.
-    """
-    if remaining <= 0 or per_point_s * remaining < min_parallel_s:
-        return 1, max(remaining, 1)
-    per_worker = -(-remaining // n_jobs)
-    target = max(1, ceil(_TARGET_CHUNK_SECONDS / max(per_point_s, 1e-9)))
-    return n_jobs, min(per_worker, target)
-
-
-def _resolve_n_jobs(n_jobs):
-    if n_jobs is None:
-        n_jobs = os.cpu_count() or 1
-    return max(1, int(n_jobs))
-
-
-def _piloted_stream(
-    workload, base_config, names, indexed, total, n_jobs, threshold, evaluator
-) -> Iterator[tuple]:
-    """Adaptive :func:`_stream_evaluations` over a known-length stream.
-
-    Times the first :data:`_PILOT_POINTS` points in-process — or, for a
-    batch-capable evaluator, the first :data:`_BATCH_CHUNK`-point batch,
-    so the measured per-point cost is the *batched* cost the rest of the
-    sweep would actually pay — then either finishes serially (estimated
-    remaining work below ``threshold``: the pool would cost more than it
-    saves, which for batched analytical grids is almost always the case)
-    or fans out with :func:`_plan_parallel`-sized chunks.  Without a
-    pilot (serial request, tiny grid, ``threshold <= 0``) this is the
-    historical one-chunk-per-worker stream.  Yields
-    ``(grid_index, point)`` pairs with failures warn-dropped; parallel
-    yields arrive out of order.
-    """
-    indexed = iter(indexed)
-    chunksize = -(-total // n_jobs) if (total and n_jobs > 1) else None
-    if chunksize is not None and _batch_capable(evaluator):
-        # The one-chunk-per-worker fallback must not hand a worker an
-        # unbounded evaluate_batch call: (points × layers) temporaries
-        # are bounded by the batch chunk cap, pilot or no pilot.
-        chunksize = min(chunksize, _BATCH_CHUNK)
-    if n_jobs > 1 and threshold > 0 and _batch_capable(evaluator):
-        pilot_chunk = list(islice(indexed, _BATCH_CHUNK))
-        if pilot_chunk:
-            begin = perf_counter()
-            pilot = _evaluate_chunk(
-                workload, base_config, names, pilot_chunk, evaluator
-            )
-            per_point = (perf_counter() - begin) / len(pilot_chunk)
-            _note_chunk(pilot)
-            yield from _filter_failures(pilot)
-            n_jobs, chunksize = _plan_parallel(
-                per_point, total - len(pilot_chunk), n_jobs, threshold
-            )
-            chunksize = None if n_jobs == 1 else min(chunksize, _BATCH_CHUNK)
-            _note_pilot(n_jobs, chunksize)
-    elif n_jobs > 1 and threshold > 0 and total > _PILOT_POINTS:
-        begin = perf_counter()
-        pilot = [
-            _scored_pair(workload, base_config, names, evaluator, index, row)
-            for index, row in islice(indexed, _PILOT_POINTS)
-        ]
-        per_point = (perf_counter() - begin) / _PILOT_POINTS
-        yield from _filter_failures(pilot)
-        n_jobs, chunksize = _plan_parallel(
-            per_point, total - _PILOT_POINTS, n_jobs, threshold
-        )
-        if n_jobs == 1:
-            chunksize = None
-        _note_pilot(n_jobs, chunksize)
-    yield from _stream_evaluations(
-        workload, base_config, names, indexed, n_jobs, chunksize, evaluator
-    )
 
 
 def _hybrid_survivors(pairs, objectives=("seconds", "energy_joules")):
@@ -587,7 +463,7 @@ def _hybrid_survivors(pairs, objectives=("seconds", "energy_joules")):
     offer every coarse point to a :class:`ParetoFront` and return the
     surviving ``(grid_index, point)`` pairs in ascending grid order.  The
     non-dominated set of a multiset is arrival-order independent, so any
-    execution order (serial, pooled, sharded) selects the same indices.
+    execution order (in-process or sharded) selects the same indices.
     """
     front = ParetoFront(objectives=objectives)
     index_of = {}  # id(point) -> grid index (points are unique objects)
@@ -604,9 +480,8 @@ def _hybrid_survivors(pairs, objectives=("seconds", "energy_joules")):
 def _note_chunk(pairs):
     """Count one completed chunk's results into the telemetry registry.
 
-    Called once per dispatched chunk in the consumer process (pool chunks
-    are counted on arrival — worker-process registries don't survive the
-    hop).  A disabled registry — the default — costs one attribute check.
+    Called once per dispatched chunk.  A disabled registry — the default —
+    costs one attribute check.
     """
     registry = obs.get_registry()
     if not registry.enabled:
@@ -615,17 +490,6 @@ def _note_chunk(pairs):
     registry.counter("dse_chunks_dispatched").inc()
     if len(pairs) > failed:
         registry.counter("dse_points_scored").inc(len(pairs) - failed)
-
-
-def _note_pilot(n_jobs, chunksize):
-    """Record the pilot's pool decision (see :func:`_plan_parallel`)."""
-    registry = obs.get_registry()
-    if not registry.enabled:
-        return
-    mode = "serial" if n_jobs == 1 else "parallel"
-    registry.counter("dse_pilot_decisions", mode=mode).inc()
-    if n_jobs > 1 and chunksize:
-        registry.gauge("dse_pilot_chunk_size").set(chunksize)
 
 
 def _filter_failures(pairs):
@@ -654,112 +518,39 @@ def _stream_evaluations(
     base_config,
     names,
     indexed,
-    n_jobs,
     chunksize,
     evaluator,
     keep_failures=False,
 ) -> Iterator[tuple]:
     """Evaluate ``(grid_index, values)`` pairs, yielding completed points.
 
-    The engine under both the lazy and the eager sweep: serial runs
-    evaluate in the order given; parallel runs keep at most ``2 * n_jobs``
-    chunks in flight and yield chunks as they complete (out of order —
-    that IS the streaming contract; sort by index to recover input order).
-    Either way, a batch-capable evaluator scores each chunk as ONE
-    ``evaluate_batch`` array op (:data:`_BATCH_CHUNK` points per chunk by
-    default; ``chunksize`` overrides) instead of a per-point Python loop
-    — bit-for-bit the same points, order and failures (see
-    :func:`_evaluate_chunk`).  The workload is shipped once per worker
-    via the pool initializer, so chunk tasks stay tiny and workers reuse
-    one memoized workload object.
-    Only pool *creation* may fall back to threads (sandboxes without
-    process/semaphore support); failures outside the evaluator — including
-    BrokenProcessPool — propagate.  ``keep_failures=True`` yields
-    :class:`PointFailure` results instead of warn-dropping them (the
-    sharded runners persist them as completion records).
+    The engine under both the lazy and the eager sweep: points are
+    evaluated in process, in the order given.  A batch-capable evaluator
+    scores each chunk as ONE ``evaluate_batch`` array op
+    (:data:`_BATCH_CHUNK` points per chunk by default; ``chunksize``
+    overrides) instead of a per-point Python loop — bit-for-bit the same
+    points, order and failures (see :func:`_evaluate_chunk`).
+    ``keep_failures=True`` yields :class:`PointFailure` results instead of
+    warn-dropping them (the sharded runners persist them as completion
+    records).
     """
     sieve = (lambda pairs: pairs) if keep_failures else _filter_failures
-    if n_jobs == 1:
-        if _batch_capable(evaluator):
-            # Serial batched streaming: score bounded chunks as single
-            # array ops.  Laziness weakens from per-point to per-chunk —
-            # an early-stopping consumer evaluates at most one chunk
-            # beyond what it takes.
-            for chunk in _chunked(indexed, chunksize or _BATCH_CHUNK):
-                with obs.span("dse_chunk"):
-                    scored = _evaluate_chunk(
-                        workload, base_config, names, chunk, evaluator
-                    )
-                _note_chunk(scored)
-                yield from sieve(scored)
-            return
-        pairs = (
-            _scored_pair(workload, base_config, names, evaluator, index, row)
-            for index, row in indexed
-        )
-        yield from sieve(pairs)
+    if _batch_capable(evaluator):
+        # Laziness weakens from per-point to per-chunk: an early-stopping
+        # consumer evaluates at most one chunk beyond what it takes.
+        for chunk in _chunked(indexed, chunksize or _BATCH_CHUNK):
+            with obs.span("dse_chunk"):
+                scored = _evaluate_chunk(
+                    workload, base_config, names, chunk, evaluator
+                )
+            _note_chunk(scored)
+            yield from sieve(scored)
         return
-    default_chunk = _BATCH_CHUNK if _batch_capable(evaluator) else _STREAM_CHUNK
-    chunks = _chunked(indexed, chunksize or default_chunk)
-    try:
-        pool = ProcessPoolExecutor(
-            max_workers=n_jobs,
-            initializer=seed_worker_workload,
-            initargs=(workload,),
-        )
-        task_workload = None  # workers read the seeded copy instead
-    except OSError:
-        pool = ThreadPoolExecutor(max_workers=n_jobs)
-        task_workload = workload
-    obs.counter("dse_pool_spawns").inc()
-
-    def submit(chunk):
-        return pool.submit(
-            _evaluate_chunk, task_workload, base_config, names, chunk, evaluator
-        )
-
-    try:
-        pending = set()
-        for chunk in islice(chunks, 2 * n_jobs):
-            pending.add(submit(chunk))
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                chunk = next(chunks, None)
-                if chunk is not None:
-                    pending.add(submit(chunk))
-                scored = future.result()
-                _note_chunk(scored)
-                yield from sieve(scored)
-        pool.shutdown(wait=True)
-    finally:
-        # An abandoned stream (consumer stopped early) must not block on
-        # the in-flight chunks: cancel what hasn't started and return
-        # without waiting for what has.
-        pool.shutdown(wait=False, cancel_futures=True)
-
-
-def _iter_indexed_points(
-    workload, grid, base_config, n_jobs, chunksize=None, evaluator=None
-) -> Iterator[tuple]:
-    """Yield ``(grid_index, DesignPoint)`` pairs over the grid, lazily.
-
-    Serial runs walk the cross-product in grid order without materialising
-    it; see :func:`_stream_evaluations` for the parallel contract.
-    """
-    base_config = base_config or VITCOD_DEFAULT
-    if evaluator is None:
-        evaluator = resolve_evaluator(None)
-    names, combos = _resolve_grid(grid)
-    yield from _stream_evaluations(
-        workload,
-        base_config,
-        names,
-        enumerate(combos),
-        _resolve_n_jobs(n_jobs),
-        chunksize,
-        evaluator,
+    pairs = (
+        _scored_pair(workload, base_config, names, evaluator, index, row)
+        for index, row in indexed
     )
+    yield from sieve(pairs)
 
 
 def iter_indexed_design_points(
@@ -767,7 +558,6 @@ def iter_indexed_design_points(
     grid: Dict[str, Sequence],
     indices: Iterable[int] = None,
     base_config: HardwareConfig = None,
-    n_jobs: int = 1,
     chunksize: int = None,
     evaluator=None,
     keep_failures=False,
@@ -776,14 +566,13 @@ def iter_indexed_design_points(
 
     Yields ``(grid_index, DesignPoint)`` pairs for exactly the given
     ``indices`` (any iterable of positions in the deterministic sweep
-    order; ``None`` means the whole grid).  This is the execution surface
-    :mod:`repro.dist` shards across processes and hosts: each shard holds
-    a disjoint index subset, and because the index *is* the partition key,
-    re-running a shard can skip indices its result store already holds.
+    order; ``None`` means the whole grid), in the order given.  This is
+    the execution surface :mod:`repro.dist` shards across processes and
+    hosts: each shard holds a disjoint index subset, and because the index
+    *is* the partition key, re-running a shard can skip indices its result
+    store already holds.
 
-    Serial runs yield in the order given; ``n_jobs > 1`` fans index chunks
-    across workers and yields them as completed (out of order).  With
-    ``keep_failures=True`` a point whose evaluator raised arrives as a
+    With ``keep_failures=True`` a point whose evaluator raised arrives as a
     ``(grid_index, PointFailure)`` pair instead of being warn-dropped, so
     callers with durable stores can record the failure as a completion.
 
@@ -810,7 +599,6 @@ def iter_indexed_design_points(
         base_config,
         names,
         indexed,
-        _resolve_n_jobs(n_jobs),
         chunksize,
         evaluator,
         keep_failures=keep_failures,
@@ -821,19 +609,12 @@ def iter_design_space(
     workload: ModelWorkload,
     grid: Dict[str, Sequence],
     base_config: HardwareConfig = None,
-    n_jobs: int = 1,
     frontier: ParetoFront = None,
     evaluator=None,
     chunksize: int = None,
-    min_parallel_s: float = None,
 ) -> Iterator[DesignPoint]:
     """Stream the grid cross-product: yield each :class:`DesignPoint` as it
-    completes, never materialising the full grid.
-
-    ``n_jobs > 1`` (or ``None`` for one per CPU) fans chunks of points
-    across worker processes and yields them ``as_completed`` — out of grid
-    order, but the multiset of points is exactly the eager sweep's.  With
-    ``n_jobs == 1`` points arrive in grid order, lazily.
+    completes, in grid order, never materialising the full grid.
 
     Pass a :class:`ParetoFront` as ``frontier`` for incremental pruning:
     only points non-dominated *at the time they arrive* are yielded, and
@@ -848,13 +629,7 @@ def iter_design_space(
     for very expensive points), and ``"hybrid"`` — or any
     :class:`~repro.sim.evaluator.HybridEvaluator` — prunes the grid with
     its coarse evaluator and yields only the surviving frontier re-scored
-    by its fine evaluator, in deterministic grid order.  A hybrid coarse
-    phase with ``n_jobs > 1`` (and no explicit ``chunksize``) is adaptive
-    like the eager sweep: it pilots the first points and stays serial
-    when the whole phase is cheaper than ``min_parallel_s`` (default
-    ~0.25 s; ``0`` forces the pool).  Plain streaming sweeps ignore
-    ``min_parallel_s`` — a lazy stream's length is unknown, so there is
-    nothing to estimate against.
+    by its fine evaluator, in deterministic grid order.
 
     Example
     -------
@@ -864,20 +639,15 @@ def iter_design_space(
     >>> best = front.points                        # exact final frontier
     """
     evaluator = resolve_evaluator(evaluator)
+    base_config = base_config or VITCOD_DEFAULT
     if isinstance(evaluator, HybridEvaluator):
         yield from _iter_hybrid(
-            workload,
-            grid,
-            base_config,
-            n_jobs,
-            frontier,
-            evaluator,
-            chunksize,
-            min_parallel_s=min_parallel_s,
+            workload, grid, base_config, frontier, evaluator, chunksize
         )
         return
-    stream = _iter_indexed_points(
-        workload, grid, base_config, n_jobs, chunksize, evaluator
+    names, combos = _resolve_grid(grid)
+    stream = _stream_evaluations(
+        workload, base_config, names, enumerate(combos), chunksize, evaluator
     )
     if frontier is not None and _batch_capable(evaluator):
         # Batched scoring arrives chunk-at-a-time anyway, so prune each
@@ -894,80 +664,33 @@ def iter_design_space(
 
 
 def _iter_hybrid(
-    workload,
-    grid,
-    base_config,
-    n_jobs,
-    frontier,
-    evaluator: HybridEvaluator,
-    chunksize,
-    min_parallel_s=None,
+    workload, grid, base_config, frontier, evaluator: HybridEvaluator, chunksize
 ) -> Iterator[DesignPoint]:
     """Two-phase sweep: coarse-prune the grid, fine-score the survivors.
 
     Phase 1 streams every grid point through ``evaluator.coarse`` into an
-    incremental :class:`ParetoFront` — adaptively (see
-    :func:`_piloted_stream`): a cheap coarse phase with ``n_jobs > 1``
-    stays serial instead of paying for a pool it cannot amortise.  Phase 2
-    re-scores only the surviving frontier with ``evaluator.fine``.
-    Survivors are processed and yielded in ascending grid order, so hybrid
-    sweeps are deterministic regardless of ``n_jobs`` or completion order
-    (the non-dominated set of a multiset of points does not depend on
-    arrival order).
+    incremental :class:`ParetoFront`; phase 2 re-scores only the surviving
+    frontier with ``evaluator.fine``.  Survivors are processed and yielded
+    in ascending grid order, so hybrid sweeps are deterministic.
     """
     grid = _normalise_grid(grid)
     names = sorted(grid)
-    base_config = base_config or VITCOD_DEFAULT
-    n_jobs = _resolve_n_jobs(n_jobs)
-    threshold = (
-        _AUTO_SERIAL_SECONDS if min_parallel_s is None else float(min_parallel_s)
-    )
-
     coarse_objectives = (
         frontier.objectives if frontier is not None else ("seconds", "energy_joules")
     )
     combos = enumerate(product(*(grid[n] for n in names)))
-    if chunksize is not None:
-        # An explicit chunk size is a caller override (expensive coarse
-        # points): keep the historical fixed-chunk stream.
-        coarse_stream = _stream_evaluations(
-            workload, base_config, names, combos, n_jobs, chunksize, evaluator.coarse
-        )
-    else:
-        coarse_stream = _piloted_stream(
-            workload,
-            base_config,
-            names,
-            combos,
-            grid_size(grid),
-            n_jobs,
-            threshold,
-            evaluator.coarse,
-        )
+    coarse_stream = _stream_evaluations(
+        workload, base_config, names, combos, chunksize, evaluator.coarse
+    )
     survivors = _hybrid_survivors(coarse_stream, objectives=coarse_objectives)
     indexed = (
         (index, tuple(dict(point.parameters)[name] for name in names))
         for index, point in survivors
     )
-    if _batch_capable(evaluator.fine):
-        # A batch-capable fine evaluator scores the survivor set as a
-        # few in-process array walks; a pool would pay worker spawn to
-        # split work numpy already amortises.
-        fine_jobs, fine_chunk = 1, None
-    else:
-        # Survivor counts are small and each point is expensive: one
-        # point per task maximises fan-out.
-        fine_jobs, fine_chunk = min(n_jobs, max(len(survivors), 1)), 1
     rescored = _stream_evaluations(
-        workload,
-        base_config,
-        names,
-        indexed,
-        fine_jobs,
-        fine_chunk,
-        evaluator.fine,
+        workload, base_config, names, indexed, None, evaluator.fine
     )
-    for index, point in sorted(rescored, key=lambda pair: pair[0]):
+    for _, point in rescored:
         if frontier is not None and not frontier.offer(point):
             continue
         yield point
@@ -977,91 +700,39 @@ def sweep_design_space(
     workload: ModelWorkload,
     grid: Dict[str, Sequence],
     base_config: HardwareConfig = None,
-    n_jobs: int = 1,
     evaluator=None,
-    min_parallel_s: float = None,
     chunksize: int = None,
 ) -> List[DesignPoint]:
     """Evaluate the cross product of ``grid`` on ``workload``, eagerly.
 
-    A drained, re-ordered :func:`iter_design_space`: ``n_jobs`` fans grid
-    points across worker processes (``None`` means one per CPU); results
-    are returned in grid order regardless, and a parallel sweep returns
-    exactly what the serial sweep would.  ``evaluator`` selects the
-    scoring strategy (``"analytical"`` default, ``"cycle"``, ``"hybrid"``
-    or an :class:`~repro.sim.evaluator.Evaluator`); hybrid sweeps return
-    only the re-scored frontier survivors.  Points whose evaluator raised
-    are dropped (with a :class:`RuntimeWarning`), so the result can be
-    shorter than the grid.
+    A drained :func:`iter_design_space`: results are returned in grid
+    order.  ``evaluator`` selects the scoring strategy (``"analytical"``
+    default, ``"cycle"``, ``"hybrid"`` or an
+    :class:`~repro.sim.evaluator.Evaluator`); hybrid sweeps return only
+    the re-scored frontier survivors.  Points whose evaluator raised are
+    dropped (with a :class:`RuntimeWarning`), so the result can be shorter
+    than the grid.
 
-    ``n_jobs > 1`` sweeps are *adaptive*: the first
-    :data:`_PILOT_POINTS` points are timed in-process, and the sweep only
-    spawns a pool when the estimated remaining work exceeds
-    ``min_parallel_s`` (default :data:`_AUTO_SERIAL_SECONDS`; pool spawn
-    costs real wall-clock, so cheap grids are faster serial).  When it
-    does fan out, chunks are sized to ~:data:`_TARGET_CHUNK_SECONDS` of
-    estimated work instead of a fixed one-chunk-per-worker split.  Pass
-    ``min_parallel_s=0`` to force the pool and the historical chunking
-    (benchmarks measuring raw fan-out do this).  Either way the returned
-    points are identical to the serial sweep's.
-
-    An explicit ``chunksize`` is a caller override of both the pilot and
-    the chunk planning (the same convention the hybrid coarse phase
-    uses): points are streamed in fixed chunks of that many, which for a
-    batch-capable evaluator is also the batch granularity (CLI:
-    ``--batch-size``).
+    ``chunksize`` overrides the batch granularity of a batch-capable
+    evaluator (CLI: ``--batch-size``).  The sweep runs in the calling
+    process; to spread a sweep across cores or hosts, shard it with
+    :mod:`repro.dist` (CLI: ``dse-fleet --num-shards N``).
 
     Example
     -------
     >>> grid = {"mac_lines": [32, 64, 128], "ae_compression": [None, 0.5]}
-    >>> points = sweep_design_space(workload, grid, n_jobs=4)
+    >>> points = sweep_design_space(workload, grid, evaluator="cycle")
     """
-    # Normalise once: the grid is resolved both here (for sizing/ordering)
-    # and inside the streaming engine, so one-shot iterables must not be
-    # consumed twice.
+    # Normalise once so one-shot iterables are not consumed twice (sizing
+    # here, the cross-product inside the stream).
     grid = _normalise_grid(grid)
     evaluator = resolve_evaluator(evaluator)
-    if isinstance(evaluator, HybridEvaluator):
-        # The hybrid stream already arrives in deterministic grid order.
-        hybrid_stream = iter_design_space(
-            workload,
-            grid,
-            base_config,
-            n_jobs=n_jobs,
-            evaluator=evaluator,
-            chunksize=chunksize,
-            min_parallel_s=min_parallel_s,
-        )
-        with obs.span("dse_sweep", evaluator="hybrid", points=grid_size(grid)):
-            return list(hybrid_stream)
-    names, combos = _resolve_grid(grid)
-    combos = list(combos)
-    base_config = base_config or VITCOD_DEFAULT
-    n_jobs = min(_resolve_n_jobs(n_jobs), len(combos))
-    threshold = (
-        _AUTO_SERIAL_SECONDS if min_parallel_s is None else float(min_parallel_s)
+    labels = {"evaluator": "hybrid"} if isinstance(evaluator, HybridEvaluator) else {}
+    stream = iter_design_space(
+        workload, grid, base_config, evaluator=evaluator, chunksize=chunksize
     )
-    indexed = enumerate(combos)
-    if chunksize is not None:
-        stream = _stream_evaluations(
-            workload, base_config, names, indexed, n_jobs, chunksize, evaluator
-        )
-    else:
-        stream = _piloted_stream(
-            workload,
-            base_config,
-            names,
-            indexed,
-            len(combos),
-            n_jobs,
-            threshold,
-            evaluator,
-        )
-    points: List[DesignPoint] = [None] * len(combos)
-    with obs.span("dse_sweep", points=len(combos)):
-        for index, point in stream:
-            points[index] = point
-    return [point for point in points if point is not None]
+    with obs.span("dse_sweep", **labels, points=grid_size(grid)):
+        return list(stream)
 
 
 def _pareto_mask_sorted_2d(values: np.ndarray) -> np.ndarray:
@@ -1126,28 +797,23 @@ def sensitivity(
     parameter,
     values,
     base_config: HardwareConfig = None,
-    n_jobs: int = 1,
     evaluator=None,
-    min_parallel_s: float = None,
 ) -> List[dict]:
     """One-dimensional sensitivity: latency/energy vs one parameter.
 
     A thin view over :func:`sweep_design_space` on the one-parameter grid
     ``{parameter: values}``, so it shares everything the sweep engine
-    provides — workload memoization, the adaptive pool pilot, and whole-
-    chunk batch scoring for batch-capable evaluators (the analytical
-    default scores the entire value list as one numpy batch instead of
-    one evaluator call per value).  Rows arrive in the order ``values``
-    were given; values whose evaluator raised are warn-dropped like any
-    sweep point.
+    provides — workload memoization and whole-chunk batch scoring for
+    batch-capable evaluators (the analytical default scores the entire
+    value list as one numpy batch instead of one evaluator call per
+    value).  Rows arrive in the order ``values`` were given; values whose
+    evaluator raised are warn-dropped like any sweep point.
     """
     points = sweep_design_space(
         workload,
         {parameter: list(values)},
         base_config=base_config,
-        n_jobs=n_jobs,
         evaluator=evaluator,
-        min_parallel_s=min_parallel_s,
     )
     return [
         {

@@ -29,8 +29,6 @@ __all__ = [
     "cached_model_workload",
     "clear_workload_cache",
     "workload_cache_stats",
-    "seed_worker_workload",
-    "seeded_workload",
 ]
 
 
@@ -138,33 +136,6 @@ def cached_model_workload(config, sparsity=0.9, theta_d=0.25, seed=0,
         config, sparsity=sparsity, theta_d=theta_d, seed=seed,
         index_format=index_format, reordered=reordered,
     ))
-
-
-#: Workload pinned in this process by a pool initializer (see
-#: :func:`seed_worker_workload`); ``None`` outside seeded pool workers.
-_worker_workload = None
-
-
-def seed_worker_workload(workload):
-    """Pin ``workload`` as this process's sweep workload (pool initializer).
-
-    Parallel DSE sweeps used to pickle the workload into every chunk task,
-    so each chunk re-derived the instance-memoized job geometry
-    (:meth:`~repro.hw.workload.AttentionWorkload.head_stats` and friends are
-    stripped from pickles) — cycle-accurate sweeps paid that rebuild once
-    per chunk per worker.  Passing this function as the pool's
-    ``initializer`` (with the workload as its argument) ships the workload
-    ONCE per worker; chunk tasks then reference it via
-    :func:`seeded_workload` and the memoized geometry is shared by every
-    chunk the worker runs.
-    """
-    global _worker_workload
-    _worker_workload = workload
-
-
-def seeded_workload():
-    """The workload pinned by :func:`seed_worker_workload`, or ``None``."""
-    return _worker_workload
 
 
 def clear_workload_cache():

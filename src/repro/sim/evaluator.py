@@ -49,10 +49,9 @@ Three built-in strategies cover the repo's simulators:
   re-score only the surviving frontier cycle-accurately.  Called directly
   on one point it scores with its fine evaluator.
 
-Evaluator instances cross process boundaries in parallel sweeps, so they
-must be picklable (the built-ins are plain objects with scalar state).
-They also cross *host* boundaries in sharded sweeps (:mod:`repro.dist`),
-as JSON: :func:`evaluator_spec` renders a built-in evaluator to a plain
+Evaluators cross process and host boundaries only as specs, in sharded
+sweeps (:mod:`repro.dist`) and the job service, as JSON:
+:func:`evaluator_spec` renders a built-in evaluator to a plain
 dict a result-store manifest can persist, and :func:`evaluator_from_spec`
 reconstructs an equivalent instance on any machine — the round-trip is
 exact for the built-ins, so every shard of a study scores points with the

@@ -123,15 +123,6 @@ class TestBitExactness:
         ))
         assert batched == per_point
 
-    def test_parallel_and_forced_pool_match_serial(self, small_workload):
-        grid = {"mac_lines": [16, 32, 64], "bandwidth_gbps": [19.2, 76.8]}
-        serial = sweep_design_space(small_workload, grid, evaluator="cycle")
-        assert sweep_design_space(small_workload, grid, n_jobs=3,
-                                  evaluator="cycle") == serial
-        assert sweep_design_space(small_workload, grid, n_jobs=3,
-                                  min_parallel_s=0.0,
-                                  evaluator="cycle") == serial
-
     def test_sub_batched_walk_matches(self, small_workload, monkeypatch):
         """A tiny cell budget forces many design-point sub-batches; the
         walk must stay bit-identical (sub-batching is memory bounding,
@@ -218,9 +209,7 @@ class TestBatchEngine:
         assert batched == per_point
         assert [p.parameter("ae_compression") for p in batched] == [0.5]
 
-    @pytest.mark.parametrize("n_jobs", [1, 2])
-    def test_unsupported_parameter_raises_cleanly(self, small_workload,
-                                                  n_jobs):
+    def test_unsupported_parameter_raises_cleanly(self, small_workload):
         """Sweeping a knob the cycle simulator does not model is a
         structural error in batched mode exactly as per point — raised
         clean, with no fallback RuntimeWarning noise."""
@@ -229,8 +218,7 @@ class TestBatchEngine:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(UnsupportedParameterError,
                                match="q_forwarding_hit_rate"):
-                sweep_design_space(small_workload, grid, n_jobs=n_jobs,
-                                   evaluator="cycle")
+                sweep_design_space(small_workload, grid, evaluator="cycle")
 
     def test_supported_kwargs_derived_from_table(self):
         """Satellite: the per-point rejection set comes from the shared

@@ -113,20 +113,11 @@ class TestBitExactness:
                                                   [5, 0, 3]))
         assert batched == per_point
 
-    def test_parallel_and_forced_pool_match_serial(self, small_workload):
-        grid = {"mac_lines": [16, 32, 64], "bandwidth_gbps": [19.2, 76.8]}
-        serial = sweep_design_space(small_workload, grid)
-        assert sweep_design_space(small_workload, grid, n_jobs=3) == serial
-        assert sweep_design_space(small_workload, grid, n_jobs=3,
-                                  min_parallel_s=0.0) == serial
-
     def test_explicit_chunksize_matches(self, small_workload):
         grid = {"mac_lines": [16, 32, 64, 128],
                 "ae_compression": [None, 0.5]}
         serial = sweep_design_space(small_workload, grid)
         assert sweep_design_space(small_workload, grid,
-                                  chunksize=3) == serial
-        assert sweep_design_space(small_workload, grid, n_jobs=2,
                                   chunksize=3) == serial
 
     def test_hybrid_coarse_phase_batches_identically(self, small_workload):
@@ -254,34 +245,6 @@ class TestBatchEngine:
                                         evaluator=Broken())
         assert points == sweep_design_space(small_workload,
                                             {"mac_lines": [16, 32]})
-
-    def test_forced_pool_chunk_plan_stays_bounded(self, small_workload,
-                                                  monkeypatch):
-        """min_parallel_s=0 (pilot bypassed) must not plan one unbounded
-        evaluate_batch call per worker on a big grid."""
-        serial = sweep_design_space(
-            small_workload, {"mac_lines": list(range(8, 200, 4))}
-        )
-        captured = {}
-        real = dse_module._stream_evaluations
-
-        def spying(workload, base_config, names, indexed, n_jobs,
-                   chunksize, evaluator, keep_failures=False):
-            captured["chunksize"] = chunksize
-            # Run serially: the planned chunk size is what is under test.
-            return real(workload, base_config, names, indexed, 1,
-                        chunksize, evaluator, keep_failures=keep_failures)
-
-        monkeypatch.setattr(dse_module, "_stream_evaluations", spying)
-        monkeypatch.setattr(dse_module, "_BATCH_CHUNK", 8)
-        forced = sweep_design_space(
-            small_workload, {"mac_lines": list(range(8, 200, 4))},
-            n_jobs=2, min_parallel_s=0.0,
-        )
-        assert forced == serial
-        # 48 points / 2 workers would be 24-point chunks; the batch cap
-        # (patched to 8) must bound the plan.
-        assert captured["chunksize"] == 8
 
     def test_cli_batch_size_validated(self):
         from repro.cli import main

@@ -211,7 +211,7 @@ class TestStoreFiles:
 class _RecordingEvaluator:
     """Analytical scoring that counts calls and can poison one value.
 
-    Serial in-process use only (call lists do not cross pools).  One class
+    In-process use only (call lists do not cross processes).  One class
     for counting and failing so every run against one store carries the
     same custom-evaluator spec in its manifest.
     """

@@ -66,29 +66,6 @@ class TestSweep:
         assert points[1].area_proxy == 64 * 8
 
 
-class TestParallelSweep:
-    GRID = {"mac_lines": [16, 32, 64], "ae_compression": [None, 0.5]}
-
-    def test_parallel_equals_serial(self, small_workload):
-        serial = sweep_design_space(small_workload, self.GRID)
-        parallel = sweep_design_space(small_workload, self.GRID, n_jobs=3)
-        assert parallel == serial  # same points, same (grid) order
-
-    def test_n_jobs_clamped_to_grid(self, small_workload):
-        points = sweep_design_space(small_workload, {"mac_lines": [32]},
-                                    n_jobs=8)
-        assert len(points) == 1
-
-    def test_n_jobs_none_uses_cpus(self, small_workload):
-        points = sweep_design_space(small_workload, self.GRID, n_jobs=None)
-        assert points == sweep_design_space(small_workload, self.GRID)
-
-    def test_sensitivity_parallel(self, small_workload):
-        serial = sensitivity(small_workload, "mac_lines", [32, 64])
-        parallel = sensitivity(small_workload, "mac_lines", [32, 64], n_jobs=2)
-        assert parallel == serial
-
-
 class TestPareto:
     def test_dominated_points_removed(self):
         a = DesignPoint((("x", 1),), seconds=1.0, energy_joules=1.0,
@@ -158,10 +135,6 @@ class TestPareto:
         assert fastest in frontier
 
 
-def _params_key(point):
-    return repr(point.parameters)
-
-
 class TestStreaming:
     GRID = {"mac_lines": [16, 32, 64], "ae_compression": [None, 0.5]}
 
@@ -169,13 +142,6 @@ class TestStreaming:
         eager = sweep_design_space(small_workload, self.GRID)
         streamed = list(iter_design_space(small_workload, self.GRID))
         assert streamed == eager  # same points, same (grid) order
-
-    def test_parallel_stream_same_multiset(self, small_workload):
-        eager = sweep_design_space(small_workload, self.GRID)
-        streamed = list(iter_design_space(small_workload, self.GRID,
-                                          n_jobs=3))
-        assert sorted(streamed, key=_params_key) == \
-            sorted(eager, key=_params_key)
 
     def test_lazy_never_materialises_grid(self, small_workload, monkeypatch):
         """Taking 5 points from an 864-point grid evaluates exactly 5
@@ -222,14 +188,6 @@ class TestStreaming:
         # final frontier is a subset of what was yielded.
         assert all(p in eager for p in yielded)
         assert all(p in yielded for p in front.points)
-
-    def test_parallel_frontier_matches_eager(self, small_workload):
-        eager = sweep_design_space(small_workload, self.GRID)
-        front = ParetoFront()
-        list(iter_design_space(small_workload, self.GRID, n_jobs=2,
-                               frontier=front))
-        assert (sorted(front.points, key=_params_key)
-                == sorted(pareto_frontier(eager), key=_params_key))
 
     def test_empty_grid_raises(self, small_workload):
         with pytest.raises(ValueError):
@@ -344,15 +302,6 @@ class TestGridIndexing:
         everything = dict(iter_indexed_design_points(small_workload, grid))
         assert [everything[i] for i in range(len(serial))] == serial
 
-    def test_indexed_iteration_parallel_same_pairs(self, small_workload):
-        from repro.harness.dse import iter_indexed_design_points
-
-        grid = {"mac_lines": [16, 32, 64], "ae_compression": [None, 0.5]}
-        serial = dict(iter_indexed_design_points(small_workload, grid))
-        parallel = dict(iter_indexed_design_points(small_workload, grid,
-                                                   n_jobs=2))
-        assert parallel == serial
-
     def test_hybrid_rejected(self, small_workload):
         from repro.harness.dse import iter_indexed_design_points
 
@@ -376,82 +325,3 @@ class TestGridIndexing:
         assert [index for index, _ in pairs] == [0, 1]
         assert all(isinstance(res, PointFailure) for _, res in pairs)
         assert all("nope" in res.error for _, res in pairs)
-
-
-class TestAdaptiveSweep:
-    """Cheap sweeps stay serial; forced pools still match bit for bit."""
-
-    GRID = {"mac_lines": [16, 32, 64], "ae_compression": [None, 0.5]}
-
-    def test_cheap_grid_never_spawns_pool(self, small_workload, monkeypatch):
-        def forbidden(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError("pool spawned for a trivially cheap sweep")
-
-        monkeypatch.setattr(dse_module, "ProcessPoolExecutor", forbidden)
-        monkeypatch.setattr(dse_module, "ThreadPoolExecutor", forbidden)
-        serial = sweep_design_space(small_workload, self.GRID)
-        adaptive = sweep_design_space(small_workload, self.GRID, n_jobs=3)
-        assert adaptive == serial
-
-    def test_forced_pool_matches_serial(self, small_workload):
-        serial = sweep_design_space(small_workload, self.GRID)
-        forced = sweep_design_space(small_workload, self.GRID, n_jobs=3,
-                                    min_parallel_s=0.0)
-        assert forced == serial
-
-    def test_plan_parallel_math(self):
-        from repro.harness.dse import _plan_parallel
-
-        # Remaining work cheaper than the pool: serial.
-        assert _plan_parallel(0.001, 46, 4, 0.25) == (1, 46)
-        # Expensive points: one point per chunk for balance.
-        assert _plan_parallel(0.2, 46, 4, 0.25) == (4, 1)
-        # Cheap points, big grid: chunks target ~50 ms of work.
-        n_jobs, chunk = _plan_parallel(0.002, 1000, 4, 0.25)
-        assert n_jobs == 4 and chunk == 25
-        # Never exceeds the one-chunk-per-worker split.
-        n_jobs, chunk = _plan_parallel(0.001, 400, 4, 0.25)
-        assert chunk <= -(-400 // 4)
-        # Nothing left: serial, floor chunk of 1.
-        assert _plan_parallel(0.5, 0, 4, 0.25) == (1, 1)
-
-    def test_pilot_failures_still_warn_and_drop(self, small_workload):
-        calls = []
-
-        def flaky(workload, config, accel_kwargs):
-            calls.append(config.num_mac_lines)
-            if config.num_mac_lines == 16:
-                raise RuntimeError("pilot boom")
-            from repro.sim import AnalyticalEvaluator
-
-            return AnalyticalEvaluator()(workload, config, accel_kwargs)
-
-        flaky.name = "flaky"
-        with pytest.warns(RuntimeWarning, match="pilot boom"):
-            points = sweep_design_space(small_workload, self.GRID,
-                                        n_jobs=2, evaluator=flaky)
-        # Both poisoned points (one of them a pilot) dropped, rest kept.
-        assert len(points) == 4
-        assert all(p.parameter("mac_lines") != 16 for p in points)
-
-    def test_cheap_hybrid_grid_never_spawns_pool(self, small_workload,
-                                                 monkeypatch):
-        """The adaptive pilot covers the hybrid coarse phase too."""
-
-        def forbidden(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError("pool spawned for a cheap hybrid sweep")
-
-        monkeypatch.setattr(dse_module, "ProcessPoolExecutor", forbidden)
-        monkeypatch.setattr(dse_module, "ThreadPoolExecutor", forbidden)
-        serial = sweep_design_space(small_workload, self.GRID,
-                                    evaluator="hybrid")
-        adaptive = sweep_design_space(small_workload, self.GRID, n_jobs=3,
-                                      evaluator="hybrid")
-        assert adaptive == serial
-
-    def test_forced_hybrid_pool_matches_serial(self, small_workload):
-        serial = sweep_design_space(small_workload, self.GRID,
-                                    evaluator="hybrid")
-        forced = sweep_design_space(small_workload, self.GRID, n_jobs=3,
-                                    evaluator="hybrid", min_parallel_s=0.0)
-        assert forced == serial

@@ -12,7 +12,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.harness import dse as dse_module
 from repro.harness.dse import (
     ParetoFront,
     iter_design_space,
@@ -22,7 +21,6 @@ from repro.harness.dse import (
 from repro.hw import CycleAccurateSimulator, model_workload
 from repro.hw.params import VITCOD_DEFAULT
 from repro.models import get_config
-from repro.perf import seed_worker_workload, seeded_workload
 from repro.sim import (
     AnalyticalEvaluator,
     CycleSimEvaluator,
@@ -42,7 +40,7 @@ def small_workload():
 
 
 class ExplodingEvaluator(AnalyticalEvaluator):
-    """Raises on one specific design point (module-level: pool-picklable)."""
+    """Raises on one specific design point."""
 
     name = "exploding"
 
@@ -53,7 +51,7 @@ class ExplodingEvaluator(AnalyticalEvaluator):
 
 
 class AreaEvaluator:
-    """Deterministic toy evaluator (module-level: pool-picklable)."""
+    """Deterministic toy evaluator."""
 
     name = "area"
 
@@ -130,12 +128,6 @@ class TestCycleSimEvaluator:
         assert front.offered == len(every)
         assert front.points == pareto_frontier(every)
 
-    def test_parallel_equals_serial(self, small_workload):
-        serial = sweep_design_space(small_workload, GRID, evaluator="cycle")
-        parallel = sweep_design_space(small_workload, GRID,
-                                      evaluator="cycle", n_jobs=3)
-        assert parallel == serial
-
     def test_unsupported_parameter_raises(self, small_workload):
         """The cycle sim does not model Q forwarding: sweeping it is a
         caller bug that raises, not a droppable per-point failure."""
@@ -144,11 +136,6 @@ class TestCycleSimEvaluator:
             sweep_design_space(
                 small_workload, {"q_forwarding_hit_rate": [0.0, 0.3]},
                 evaluator="cycle",
-            )
-        with pytest.raises(UnsupportedParameterError):
-            sweep_design_space(
-                small_workload, {"q_forwarding_hit_rate": [0.0, 0.3]},
-                evaluator="cycle", n_jobs=2,
             )
 
     def test_empty_grid(self, small_workload):
@@ -166,15 +153,6 @@ class TestFailureHandling:
             points = sweep_design_space(small_workload, self.GRID,
                                         evaluator=ExplodingEvaluator())
         assert [p.parameter("mac_lines") for p in points] == [16, 64]
-
-    def test_pool_failure_dropped_not_hung(self, small_workload):
-        """A worker-side evaluator exception must neither hang the sweep
-        nor poison the rest of its chunk."""
-        with pytest.warns(RuntimeWarning, match="injected evaluator"):
-            points = sweep_design_space(small_workload, self.GRID,
-                                        evaluator=ExplodingEvaluator(),
-                                        n_jobs=2)
-        assert [p.parameter("mac_lines") for p in points] == [16, 64]
         good = sweep_design_space(small_workload, self.GRID)
         assert points == [p for p in good
                           if p.parameter("mac_lines") != 32]
@@ -185,13 +163,10 @@ class TestFailureHandling:
             sweep_design_space(small_workload, {"voltage": [0.9]},
                                evaluator=ExplodingEvaluator())
 
-    def test_custom_evaluator_parallel(self, small_workload):
-        serial = sweep_design_space(small_workload, self.GRID,
+    def test_custom_evaluator_scores_points(self, small_workload):
+        points = sweep_design_space(small_workload, self.GRID,
                                     evaluator=AreaEvaluator())
-        parallel = sweep_design_space(small_workload, self.GRID,
-                                      evaluator=AreaEvaluator(), n_jobs=2)
-        assert parallel == serial
-        assert [p.seconds for p in serial] == \
+        assert [p.seconds for p in points] == \
             [1.0 / (16 * 8), 1.0 / (32 * 8), 1.0 / (64 * 8)]
 
 
@@ -209,11 +184,10 @@ class TestHybrid:
 
     def test_survivor_ordering_deterministic(self, small_workload):
         runs = [
-            sweep_design_space(small_workload, GRID, evaluator="hybrid",
-                               n_jobs=n_jobs)
-            for n_jobs in (1, 1, 2, 3)
+            sweep_design_space(small_workload, GRID, evaluator="hybrid")
+            for _ in range(2)
         ]
-        assert runs[0] == runs[1] == runs[2] == runs[3]
+        assert runs[0] == runs[1]
 
     def test_stream_applies_user_frontier(self, small_workload):
         front = ParetoFront()
@@ -238,33 +212,6 @@ class TestHybrid:
         analytical = sweep_design_space(small_workload,
                                         {"mac_lines": [16, 64]})
         assert points == analytical
-
-
-class TestWorkerSeeding:
-    def test_chunk_resolves_seeded_workload(self, small_workload):
-        """``workload=None`` chunks read the initializer-seeded workload."""
-        assert seeded_workload() is None
-        seed_worker_workload(small_workload)
-        try:
-            assert seeded_workload() is small_workload
-            seeded = dse_module._evaluate_chunk(
-                None, VITCOD_DEFAULT, ["mac_lines"], [(0, (32,))],
-                AnalyticalEvaluator(),
-            )
-            direct = dse_module._evaluate_chunk(
-                small_workload, VITCOD_DEFAULT, ["mac_lines"], [(0, (32,))],
-                AnalyticalEvaluator(),
-            )
-            assert seeded == direct
-        finally:
-            seed_worker_workload(None)
-
-    def test_parallel_sweep_leaves_parent_unseeded(self, small_workload):
-        sweep_design_space(small_workload, {"mac_lines": [16, 32]}, n_jobs=2)
-        # The initializer runs in the workers; the parent process keeps a
-        # clean slate (the thread-pool fallback passes the workload
-        # explicitly instead of seeding the shared module state).
-        assert seeded_workload() is None
 
 
 class TestEvaluatorSpecs:

@@ -185,6 +185,20 @@ class TestCLI:
         assert len(data["points"]) == 2
         assert any(p["pareto"] for p in data["points"])
 
+    @pytest.mark.parametrize("command", [
+        ["dse", "--models", "deit-tiny"],
+        ["dse-shard", "--shard", "1/1", "--out", "{store}"],
+        ["dse-fleet", "--out", "{store}", "--num-shards", "2"],
+        ["dse-merge", "{store}"],
+    ], ids=lambda command: command[0])
+    def test_dse_commands_reject_n_jobs(self, command, tmp_path):
+        """Sweeps run in process; multi-core fan-out is dse-fleet's
+        --num-shards, so no DSE command takes a worker count."""
+        argv = [arg.format(store=tmp_path / "store") for arg in command]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--n-jobs", "2"])
+        assert excinfo.value.code == 2  # argparse: unrecognized arguments
+
     def test_dse_grid_parsing(self):
         from repro.cli import parse_grid
         grid = parse_grid(["mac_lines=16,32", "ae_compression=none,0.25"])
