@@ -14,7 +14,8 @@ from repro.perf import benchit, cached_model_workload
 
 
 def test_whole_model_batched_cycle_sim(bench_recorder, bench_mode):
-    """Batched one-scan whole-model cycle sim vs the per-layer loops."""
+    """Whole-model cycle sim (the grid walk at one design point) vs the
+    scalar per-layer loop."""
     full = bench_mode == "full"
     model = "deit-base" if full else "deit-tiny"
     wl = cached_model_workload(model, sparsity=0.9)
@@ -32,25 +33,18 @@ def test_whole_model_batched_cycle_sim(bench_recorder, bench_mode):
     repeats = 20 if full else 2
     batched = benchit(lambda: vec.simulate_attention(wl),
                       name="batched", repeats=repeats, warmup=1)
-    layer_vec = benchit(
-        lambda: merge_cycle_results(vec.simulate_layer(l) for l in layers),
-        name="per_layer_vectorized", repeats=repeats, warmup=1,
-    )
     layer_scalar = benchit(lambda: scalar.simulate_attention(layers),
                            name="per_layer_scalar",
                            repeats=max(repeats // 6, 1), warmup=0)
 
     speedup_vs_loop = layer_scalar.best / batched.best
-    speedup_vs_vec_loop = layer_vec.best / batched.best
     bench_recorder.record(
         "whole_model_cycle_sim",
         model=model,
         layers=len(layers),
         batched=batched.to_dict(),
-        per_layer_vectorized=layer_vec.to_dict(),
         per_layer_scalar=layer_scalar.to_dict(),
         speedup_vs_layer_loop=speedup_vs_loop,
-        speedup_vs_vectorized_layer_loop=speedup_vs_vec_loop,
     )
     assert batched.best > 0
     if full:

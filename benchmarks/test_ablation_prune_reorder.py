@@ -28,7 +28,7 @@ def test_ablation_prune_vs_reorder(benchmark):
     # Shape: both matter; pruning's benefit grows with sparsity and clearly
     # dominates at 90% (paper: 8.14x vs 2.03x).  On the 60-90% average our
     # model slightly over-credits reordering (low-sparsity denser blocks are
-    # processed densely, diluting the pruning side) — see EXPERIMENTS.md.
+    # processed densely, diluting the pruning side).
     assert data["mean_pruning_benefit"] > 1.3
     assert data["mean_reordering_benefit"] > 1.3
     assert at_90["pruning_benefit"] > at_90["reordering_benefit"]

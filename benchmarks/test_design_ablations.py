@@ -1,4 +1,4 @@
-"""Design-choice ablations called out in DESIGN.md §5.
+"""Design-choice ablations.
 
 These back the paper's §V design discussion with measurements from our
 simulators: K- vs S-stationary SDDMM dataflow, two-pronged vs single
@@ -108,7 +108,7 @@ def test_ae_and_forwarding_ablation(benchmark, deit_base_90):
 
 
 def test_event_driven_validates_analytical(benchmark, deit_base_90):
-    """DESIGN.md validation requirement: the event-driven simulator and the
+    """Validation requirement: the event-driven simulator and the
     analytical model agree within a bounded factor and track each other
     across sparsity."""
 

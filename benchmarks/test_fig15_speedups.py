@@ -47,8 +47,7 @@ def test_fig15b_end_to_end_speedups(benchmark):
     # End-to-end gains are much smaller than core-attention gains (Amdahl);
     # ViTCoD still wins against every platform.  Our accelerator-vs-
     # accelerator e2e margins (~1.1x) fall short of the paper's 2-3x because
-    # the shared 512-MAC dense path dominates e2e in our model — see
-    # EXPERIMENTS.md.
+    # the shared 512-MAC dense path dominates e2e in our model.
     core = fig15_speedups(sparsity=0.9, models=("deit-base",))
     assert mean["cpu"] < core["mean"]["cpu"]
     assert mean["cpu"] > 10.0

@@ -46,6 +46,6 @@ def test_fig19_breakdown_and_energy(benchmark):
     # Sanger pays a visible preprocess (mask prediction) share; ViTCoD's
     # preprocess (CSC preload) is marginal.
     assert bd["sanger"]["preprocess"] > 3 * bd["vitcod"]["preprocess"]
-    # Energy: direction reproduced; magnitude deviation documented in
-    # EXPERIMENTS.md (our model charges both designs identical DRAM energy).
+    # Energy: direction reproduced; the magnitude falls short of the
+    # paper's because our model charges both designs identical DRAM energy.
     assert data["energy_efficiency_vs_sanger"] > 1.5

@@ -1,6 +1,6 @@
 """Calibration constants for all baseline platform models, in one place.
 
-Provenance policy (DESIGN.md §6): we cannot measure the authors' testbed
+Provenance policy: we cannot measure the authors' testbed
 (Xeon 6230R, Jetson Xavier NX, RTX 2080Ti), so each general-purpose platform
 is modelled as *effective* throughput on attention-shaped kernels plus a
 per-kernel launch overhead.  The constants below are chosen so the headline

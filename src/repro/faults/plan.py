@@ -89,22 +89,9 @@ class FaultPlan:
         self.kill_after_records = kill_after_records
         self.claim_delay_s = _require_seconds(claim_delay_s, "claim_delay_s")
         self.scope = Path(scope) if scope is not None else None
-        self._reset_runtime_state()
-
-    def _reset_runtime_state(self):
         self._attempts = {}  # point key -> injected evaluator errors so far
         self._fired = set()  # scope-less one-shot points fired in-process
         self._appended = 0  # durable appends seen by this process
-
-    # Runtime state is per-process by design: a pickled plan travelling to
-    # a pool worker starts with fresh counters, and durable one-shot state
-    # lives in the scope markers, not here.
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state["_attempts"] = {}
-        state["_fired"] = set()
-        state["_appended"] = 0
-        return state
 
     def __repr__(self):
         parts = ", ".join(f"{k}={v!r}" for k, v in sorted(self.spec().items()))

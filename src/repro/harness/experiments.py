@@ -1,4 +1,4 @@
-"""One runner per paper table/figure (the experiment index of DESIGN.md §4).
+"""One runner per paper table/figure.
 
 Every function returns plain data (dicts / lists) that the benchmark suite
 prints and asserts on; nothing here touches matplotlib so the harness runs

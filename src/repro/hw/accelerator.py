@@ -154,7 +154,7 @@ class ViTCoDAccelerator(ModelSimulatorBase):
         dram_bytes += idx_bytes
 
         # ---------------- SDDMM phase ----------------------------------
-        # Memory model (see DESIGN.md §"hardware model"):
+        # Memory model:
         #   * Q and K each stream through once, in head-sized chunks that fit
         #     the Q/V and K/S buffers (heads map to MAC-line chunks, §V-B.1),
         #     compressed by the AE ratio when the AE datapath is on;

@@ -22,14 +22,20 @@ It is deliberately column-granular (an event per K column, not per cycle):
 fine enough to capture pipelining and contention, coarse enough to simulate
 a 197-token, 12-head layer in microseconds of wall time.
 
-Two interchangeable engines implement the same schedule:
+Two engines implement the same schedule:
 
-* ``engine="vectorized"`` (default) expresses the per-column FCFS queue
-  recurrences as numpy scans — the double-buffered compute recurrence
+* ``engine="vectorized"`` (default) is one array engine, the grid walk of
+  :meth:`CycleAccurateSimulator.simulate_attention_grid`.  It expresses
+  the per-column FCFS queue recurrences as numpy scans — the
+  double-buffered compute recurrence
   ``compute_free[i] = max(compute_free[i-1], load_done[i]) + cycles[i]``
   is a max-plus scan, computed as
   ``cumsum(cycles) + maximum.accumulate(load_done - exclusive_cumsum(cycles))``
-  — so a whole layer is a handful of array ops;
+  — over (design points × engine rows × jobs) arrays, where each layer's
+  two engines are rows.  A DSE chunk of ``P`` design points is one walk;
+  :meth:`~CycleAccurateSimulator.simulate_attention` and
+  :meth:`~CycleAccurateSimulator.simulate_layer` are the same walk at the
+  simulator's own design point (``P = 1``), read out per layer;
 * ``engine="scalar"`` is the original per-:class:`ColumnJob` Python event
   loop, retained as the executable reference semantics.
 
@@ -70,40 +76,21 @@ def _quantize(cycles):
     return round(cycles * _TIME_SCALE) / _TIME_SCALE
 
 
-def _queue_scan(request_times, durations, init=0.0):
-    """Vectorized FCFS queue: ``f[i] = max(f[i-1], request_times[i]) + durations[i]``.
-
-    ``f[-1] = init``.  Unrolling the recurrence gives
-    ``f[i] = C[i] + max(init, max_{j<=i}(request_times[j] - C[j-1]))`` with
-    ``C = cumsum(durations)`` — an associative max-plus scan.  Returns the
-    array of completion times (empty input -> empty array).
-    """
-    durations = np.asarray(durations, dtype=np.float64)
-    if durations.size == 0:
-        return durations
-    total = np.cumsum(durations)
-    slack = np.asarray(request_times, dtype=np.float64) - (total - durations)
-    return total + np.maximum(np.maximum.accumulate(slack), init)
+#: The float fields of :class:`CycleSimResult`, in field order (the grid
+#: walk reports one ``(points, layers)`` array per name).
+_RESULT_FIELDS = ("makespan", "sddmm_makespan", "spmm_makespan",
+                  "denser_busy", "sparser_busy", "dram_busy", "softmax_busy")
 
 
-def _queue_scan_rows(request_times, durations, init):
-    """Row-wise :func:`_queue_scan` along the last axis: one independent
-    FCFS queue per row.
-
-    Running the cumulative sums and maxima along ``axis=-1`` restarts the
-    recurrence at every row — rows are the batched engines' reset points,
-    whether the batch is 2-D ``(layers, jobs)`` (the whole-model scans)
-    or 3-D ``(points, rows, jobs)`` (the grid-batched DSE walk).
-    ``init`` and ``request_times`` broadcast against ``durations``: a
-    per-row ``(rows, 1)`` init, a scalar ``0.0``, or config-independent
-    ``(rows, jobs)`` durations under ``(points, rows, jobs)`` request
-    times all mean the same recurrence on the same values.
-    """
-    if durations.shape[-1] == 0:
-        return durations
-    total = np.cumsum(durations, axis=-1)
-    slack = request_times - (total - durations)
-    return total + np.maximum(np.maximum.accumulate(slack, axis=-1), init)
+def _attention_layers(model):
+    """The attention layers of a :class:`ModelWorkload` or a layer
+    sequence, as a non-empty list."""
+    if isinstance(model, ModelWorkload):
+        model = model.attention_layers
+    layers = list(model)
+    if not layers:
+        raise ValueError("no attention layers to simulate")
+    return layers
 
 
 def _pad_rows(arrays):
@@ -119,25 +106,6 @@ def _pad_rows(arrays):
         matrix[i, : a.size] = a
     return matrix, lengths
 
-
-def _masked_load_times(base, step, lengths, width):
-    """Per-row load-completion ladders ``base + step * (1..width)``.
-
-    Slots at or beyond a row's length get ``-inf`` request times: combined
-    with their zero durations they can never raise a row's running
-    max-plus state, so padding is invisible to the scans.
-    """
-    ladder = base[:, None] + step[:, None] * np.arange(1, width + 1)
-    ladder[np.arange(width)[None, :] >= lengths[:, None]] = -np.inf
-    return ladder
-
-
-def _row_finals(values, lengths):
-    """Last real (unpadded) value of each row; 0.0 for empty rows."""
-    if values.shape[1] == 0:
-        return np.zeros(lengths.size)
-    picked = values[np.arange(lengths.size), np.maximum(lengths - 1, 0)]
-    return np.where(lengths > 0, picked, 0.0)
 
 
 #: float64 cells one grid-walk scan array may hold: the design-point axis
@@ -156,10 +124,9 @@ def _width_bands(widths):
     Rows whose job counts share a bit length land in one band, so each
     band's matrix is padded only to its own widest row and every row
     fills more than half of it (max/min width ratio < 2 within a band)
-    — no row is ever padded to the width of a far-wider band.  This is
-    why the whole-model scan runs one matrix per engine: the denser
-    engine's rows are ~15× narrower than the sparser engine's, so
-    folding them into one matrix wastes most of its cells.  Zero-width
+    — no row is ever padded to the width of a far-wider band.  The
+    denser engine's rows are ~15× narrower than the sparser engine's, so
+    folding them into one matrix would waste most of its cells.  Zero-width
     rows are dropped (they have no events to scan).
     Returns int64 row-index arrays, one per band, narrowest band first.
     """
@@ -299,14 +266,15 @@ class CycleAccurateSimulator(AttentionSimulatorBase):
         Hardware design point (defaults to the paper's).
     use_ae:
         Compress Q/K streams/loads by ``ae_compression``.
-    dram:
-        Optional custom :class:`DramModel` (burst/row-buffer behaviour).
     engine:
-        ``"vectorized"`` (default) runs the numpy scan scheduler; for
-        whole-model runs it batches every layer into one 2-D scan (rows are
-        the per-layer reset points).  ``"scalar"`` runs the reference
-        per-job event loop, layer by layer.  Both produce identical
+        ``"vectorized"`` (default) runs the grid walk of
+        :meth:`simulate_attention_grid` at this one design point, every
+        layer at once.  ``"scalar"`` runs the reference per-job event
+        loop, layer by layer.  Both produce identical
         :class:`CycleSimResult` values.
+
+    The DRAM channel is always a plain :class:`DramModel` at the
+    config's ``bytes_per_cycle``.
     """
 
     _ENGINES = ("vectorized", "scalar")
@@ -314,8 +282,7 @@ class CycleAccurateSimulator(AttentionSimulatorBase):
     name = "CycleSim"
 
     def __init__(self, config: Optional[HardwareConfig] = None, use_ae=True,
-                 ae_compression=0.5, dram: Optional[DramModel] = None,
-                 engine="vectorized"):
+                 ae_compression=0.5, engine="vectorized"):
         self.config = config or VITCOD_DEFAULT
         self.use_ae = use_ae
         if not 0.0 < ae_compression <= 1.0:
@@ -326,9 +293,7 @@ class CycleAccurateSimulator(AttentionSimulatorBase):
             )
         self.ae_compression = ae_compression
         self.engine = engine
-        self.dram = dram or DramModel(
-            bytes_per_cycle=self.config.bytes_per_cycle
-        )
+        self.dram = DramModel(bytes_per_cycle=self.config.bytes_per_cycle)
 
     # ------------------------------------------------------------------
     def _service(self, nbytes, sequential=True, tag=""):
@@ -415,68 +380,10 @@ class CycleAccurateSimulator(AttentionSimulatorBase):
         q_stream = int(tensor_bytes * ratio * k_tiles)
         return k_col_bytes, tensor_bytes, q_stream
 
-    # ------------------------------------------------------------------
-    # Per-(workload, config) geometry, memoized on the (frozen) workload.
-    #
-    # DSE sweeps hold the workload fixed while configs change, so each
-    # piece of derived geometry is keyed by exactly the configuration
-    # fields it reads: MAC-line allocations survive a bandwidth sweep,
-    # DRAM service times survive a mac_lines sweep, and repeat scoring of
-    # any point is free.  The tables live on the workload instance (the
-    # slot is stripped from pickles alongside the job-product caches) so
-    # every simulator sharing a cached workload shares them.
-    # ------------------------------------------------------------------
-    _GEOMETRY_SLOT = "_cycle_geometry"
-
-    def _dram_memo_key(self):
-        """Hashable DRAM signature, or ``None`` when memoizing is unsafe
-        (a custom :class:`DramModel` subclass may read state the key
-        cannot see)."""
-        dram = self.dram
-        if type(dram) is not DramModel:
-            return None
-        return (dram.bytes_per_cycle, dram.burst_bytes,
-                dram.row_miss_penalty_cycles, dram.scattered_row_hit_rate)
-
-    def _layer_services(self, layer: AttentionWorkload):
-        """Quantized DRAM service times ``(q_stream, k_column, v_stream)``."""
-        dram_key = self._dram_memo_key()
-        if dram_key is None:
-            return self._build_layer_services(layer)
-        cfg = self.config
-        ratio = self.ae_compression if self.use_ae else 1.0
-        key = ("services", cfg.bytes_per_element, cfg.act_buffer_bytes,
-               ratio, dram_key)
-        return instance_memo(layer, self._GEOMETRY_SLOT, key,
-                             lambda: self._build_layer_services(layer))
-
-    def _build_layer_services(self, layer):
-        k_col_bytes, tensor_bytes, q_stream = self._layer_geometry(layer)
-        return (self._service(q_stream, tag="q-stream"),
-                self._service(k_col_bytes),
-                self._service(2 * tensor_bytes, tag="v-stream"))
-
-    def _layer_alloc(self, layer: AttentionWorkload):
-        """Engine MAC-line split ``(denser_lines, sparser_lines)``, both
-        floored at 1 as the schedulers require."""
-        key = ("alloc", self.config.num_mac_lines)
-        return instance_memo(layer, self._GEOMETRY_SLOT, key,
-                             lambda: self._build_layer_alloc(layer))
-
-    def _build_layer_alloc(self, layer):
-        head_dim = layer.head_dim
-        denser_products, sparser_products = self._column_products(layer)
-        alloc = allocate_mac_lines(
-            self.config.num_mac_lines,
-            int(denser_products.sum()) * head_dim,
-            int(sparser_products.sum()) * head_dim,
-        )
-        return max(alloc.denser_lines, 1), max(alloc.sparser_lines, 1)
-
     def simulate_layer(self, layer: AttentionWorkload) -> CycleSimResult:
         if self.engine == "scalar":
             return self._simulate_layer_scalar(layer)
-        return self._simulate_layer_vectorized(layer)
+        return self._simulate_layers([layer])[0]
 
     def _simulate_layer_scalar(self, layer: AttentionWorkload) -> CycleSimResult:
         """Reference event loop: one :class:`Timeline` acquire per event."""
@@ -531,68 +438,6 @@ class CycleAccurateSimulator(AttentionSimulatorBase):
             jobs_executed=len(denser_jobs) + len(sparser_jobs) + 2,
         )
 
-    def _simulate_layer_vectorized(self, layer: AttentionWorkload) -> CycleSimResult:
-        """Scan scheduler: the same schedule as array pipelines.
-
-        Event order matches the scalar loop exactly: the Q stream holds the
-        DRAM channel first, then the denser engine's column loads, then the
-        sparser engine's, then the V stream; softmax requests arrive in
-        engine completion order.
-        """
-        cfg = self.config
-        head_dim = layer.head_dim
-
-        denser_products, sparser_products = self._column_products(layer)
-        n_d, n_s = denser_products.size, sparser_products.size
-        d_lines, s_lines = self._layer_alloc(layer)
-
-        # Integer durations (exact doubles): ceil-divisions in int64.
-        per_wave = ceil(head_dim / cfg.macs_per_line)
-        d_cycles = (-(-denser_products // d_lines) * per_wave).astype(np.float64)
-        s_cycles = (-(-sparser_products // s_lines) * per_wave).astype(np.float64)
-        lanes = cfg.softmax_lanes
-        sm_d = (-(-denser_products // lanes)).astype(np.float64)
-        sm_s = (-(-sparser_products // lanes)).astype(np.float64)
-
-        # DRAM channel: q-stream, then one identical K-column load per job.
-        q_service, s_col, v_service = self._layer_services(layer)
-        load_done_d = q_service + s_col * np.arange(1, n_d + 1)
-        load_done_s = (q_service + s_col * n_d
-                       + s_col * np.arange(1, n_s + 1))
-
-        # Double-buffered compute on each engine, then the shared softmax
-        # queue (denser's requests precede sparser's, as in the event loop).
-        free_d = _queue_scan(load_done_d, d_cycles)
-        free_s = _queue_scan(load_done_s, s_cycles)
-        t_denser = float(free_d[-1]) if n_d else 0.0
-        t_sparser = float(free_s[-1]) if n_s else 0.0
-        sm_after_d = _queue_scan(free_d, sm_d)
-        sm_free = float(sm_after_d[-1]) if n_d else 0.0
-        sm_after_s = _queue_scan(free_s, sm_s, init=sm_free)
-        if n_s:
-            sm_free = float(sm_after_s[-1])
-        sddmm_done = max(t_denser, t_sparser, sm_free)
-
-        spmm_products = layer.total_nnz
-        spmm_compute = (
-            ceil(spmm_products / cfg.num_mac_lines)
-            * ceil(head_dim / cfg.macs_per_line)
-        )
-        dram_free = q_service + s_col * (n_d + n_s)
-        v_done = max(sddmm_done, dram_free) + v_service
-        spmm_done = max(sddmm_done + spmm_compute, v_done)
-
-        return CycleSimResult(
-            makespan=spmm_done,
-            sddmm_makespan=sddmm_done,
-            spmm_makespan=spmm_done - sddmm_done,
-            denser_busy=float(d_cycles.sum()),
-            sparser_busy=float(s_cycles.sum()),
-            dram_busy=q_service + s_col * (n_d + n_s) + v_service,
-            softmax_busy=float(sm_d.sum() + sm_s.sum()),
-            jobs_executed=n_d + n_s + 2,
-        )
-
     # Conform to the :mod:`repro.sim` per-layer naming.
     simulate_attention_layer = simulate_layer
 
@@ -600,120 +445,30 @@ class CycleAccurateSimulator(AttentionSimulatorBase):
         """Simulate a whole model's attention stack.
 
         Accepts a :class:`~repro.hw.workload.ModelWorkload` or any sequence
-        of :class:`~repro.hw.workload.AttentionWorkload` layers.  With the
-        vectorized engine, all layers run as ONE batched 2-D max-plus scan
-        (see :meth:`_simulate_attention_batched`); the scalar engine loops
-        layer by layer.  Either way the result's ``per_layer`` tuple holds
-        the single-layer breakdowns and the totals are their field sums —
-        the two engines agree bit-for-bit.
+        of :class:`~repro.hw.workload.AttentionWorkload` layers.  The
+        vectorized engine runs the grid walk at this simulator's own
+        design point (see :meth:`_simulate_layers`); the scalar engine
+        loops layer by layer.  Either way the result's ``per_layer`` tuple
+        holds the single-layer breakdowns and the totals are their field
+        sums — the two engines agree bit-for-bit.
         """
-        if isinstance(model, ModelWorkload):
-            layers = list(model.attention_layers)
-        else:
-            layers = list(model)
-        if not layers:
-            raise ValueError("no attention layers to simulate")
         if self.engine == "scalar":
             return merge_cycle_results(
-                self._simulate_layer_scalar(layer) for layer in layers
+                self._simulate_layer_scalar(layer)
+                for layer in _attention_layers(model)
             )
-        return self._simulate_attention_batched(layers)
+        return merge_cycle_results(self._simulate_layers(model))
 
-    def _simulate_attention_batched(self, layers) -> CycleSimResult:
-        """All layers as one (layer × job) array pipeline.
-
-        Per-layer job streams are padded into 2-D matrices whose rows are
-        the layers; running every scan along ``axis=1`` restarts the
-        max-plus recurrences at each row boundary, which IS the per-layer
-        reset semantics of the layer loop.  Padding uses zero durations and
-        ``-inf`` request times, so padded slots never influence a row's
-        event algebra, and all real values are produced by the exact same
-        IEEE operations as the single-layer scans — whole-model results
-        therefore match the per-layer loop bit for bit.
-        """
-        cfg = self.config
-        L = len(layers)
-        lanes = cfg.softmax_lanes
-
-        # Per-layer scalar geometry (identical expressions to the
-        # single-layer path; cheap Python over L layers, with the service
-        # times and line allocations memoized per (workload, config)).
-        q_service = np.empty(L)
-        s_col = np.empty(L)
-        v_service = np.empty(L)
-        per_wave = np.empty(L, dtype=np.int64)
-        d_lines = np.empty(L, dtype=np.int64)
-        s_lines = np.empty(L, dtype=np.int64)
-        spmm_compute = np.empty(L, dtype=np.int64)
-        products_d, products_s = [], []
-        for i, layer in enumerate(layers):
-            head_dim = layer.head_dim
-            q_service[i], s_col[i], v_service[i] = self._layer_services(layer)
-            d_prod, s_prod = self._column_products(layer)
-            products_d.append(d_prod)
-            products_s.append(s_prod)
-            d_lines[i], s_lines[i] = self._layer_alloc(layer)
-            per_wave[i] = ceil(head_dim / cfg.macs_per_line)
-            spmm_compute[i] = (
-                ceil(layer.total_nnz / cfg.num_mac_lines)
-                * ceil(head_dim / cfg.macs_per_line)
-            )
-
-        pad_d, n_d = _pad_rows(products_d)
-        pad_s, n_s = _pad_rows(products_s)
-
-        # Integer durations (exact doubles), zero in the padded slots.
-        d_cycles = (-(-pad_d // d_lines[:, None]) * per_wave[:, None]
-                    ).astype(np.float64)
-        s_cycles = (-(-pad_s // s_lines[:, None]) * per_wave[:, None]
-                    ).astype(np.float64)
-        sm_d = (-(-pad_d // lanes)).astype(np.float64)
-        sm_s = (-(-pad_s // lanes)).astype(np.float64)
-
-        # DRAM channel per layer: q-stream, denser K loads, sparser K loads.
-        load_done_d = _masked_load_times(q_service, s_col, n_d, pad_d.shape[1])
-        base_s = q_service + s_col * n_d
-        load_done_s = _masked_load_times(base_s, s_col, n_s, pad_s.shape[1])
-
-        # Double-buffered compute per engine, then the shared per-layer
-        # softmax queue: denser requests first, sparser ones queued behind
-        # the denser finish (a layer with no sparser jobs keeps it).
-        zeros = np.zeros((L, 1))
-        free_d = _queue_scan_rows(load_done_d, d_cycles, zeros)
-        free_s = _queue_scan_rows(load_done_s, s_cycles, zeros)
-        t_denser = _row_finals(free_d, n_d)
-        t_sparser = _row_finals(free_s, n_s)
-        sm_after_d = _queue_scan_rows(free_d, sm_d, zeros)
-        sm_free_d = _row_finals(sm_after_d, n_d)
-        sm_after_s = _queue_scan_rows(free_s, sm_s, sm_free_d[:, None])
-        sm_free = np.where(n_s > 0, _row_finals(sm_after_s, n_s), sm_free_d)
-        sddmm_done = np.maximum(np.maximum(t_denser, t_sparser), sm_free)
-
-        dram_free = q_service + s_col * (n_d + n_s)
-        v_done = np.maximum(sddmm_done, dram_free) + v_service
-        spmm_done = np.maximum(sddmm_done + spmm_compute, v_done)
-
-        denser_busy = d_cycles.sum(axis=1)
-        sparser_busy = s_cycles.sum(axis=1)
-        dram_busy = q_service + s_col * (n_d + n_s) + v_service
-        softmax_busy = sm_d.sum(axis=1) + sm_s.sum(axis=1)
-
-        return merge_cycle_results(
-            CycleSimResult(
-                makespan=float(spmm_done[i]),
-                sddmm_makespan=float(sddmm_done[i]),
-                spmm_makespan=float(spmm_done[i] - sddmm_done[i]),
-                denser_busy=float(denser_busy[i]),
-                sparser_busy=float(sparser_busy[i]),
-                dram_busy=float(dram_busy[i]),
-                softmax_busy=float(softmax_busy[i]),
-                jobs_executed=int(n_d[i] + n_s[i]) + 2,
-            )
-            for i in range(L)
-        )
+    def _simulate_layers(self, model):
+        """One :class:`CycleSimResult` per layer from row 0 of a one-point
+        (empty-columns) grid walk."""
+        per_layer, geometry = self._grid_walk(model, {})
+        fields = [per_layer[name][0].tolist() for name in _RESULT_FIELDS]
+        jobs = (geometry["n_d"] + geometry["n_s"] + 2).tolist()
+        return [CycleSimResult(*row) for row in zip(*fields, jobs)]
 
     # ------------------------------------------------------------------
-    # Grid-batched DSE walk: a (points × rows × jobs) max-plus scan
+    # The grid walk: a (points × rows × jobs) max-plus scan
     # ------------------------------------------------------------------
     #: Design-point knobs :meth:`simulate_attention_grid` accepts as
     #: per-point columns; anything else comes from this simulator.
@@ -789,19 +544,35 @@ class CycleAccurateSimulator(AttentionSimulatorBase):
         cycles = np.round(bursts * burst / bpc * _TIME_SCALE) / _TIME_SCALE
         return np.where(nbytes == 0, 0.0, cycles)
 
-    def _grid_geometry(self, layers):
-        """Config-independent geometry of the grid walk, built once per
-        :meth:`simulate_attention_grid` call.
+    #: Instance-memo slot of :meth:`_grid_geometry` on a
+    #: :class:`~repro.hw.workload.ModelWorkload` (stripped from pickles,
+    #: see ``ModelWorkload._CACHE_ATTRS``).
+    _GEOMETRY_SLOT = "_cycle_grid_geometry"
+
+    def _grid_geometry(self, model):
+        """Config-independent geometry of the grid walk.
 
         Job widths are a property of the workload alone — design points
         change event *durations*, never the job list — so the width-band
         row grouping, the padded product matrices, their padding masks,
         and the softmax durations (the lane count is never swept) are
-        shared by every design point in the batch.  The per-layer job
-        products themselves come memoized off the workload
-        (:meth:`_column_products`), so repeated batches on a cached
-        workload skip the per-head walks.
+        shared by every design point of every walk on the workload.  A
+        :class:`~repro.hw.workload.ModelWorkload` therefore memoizes the
+        geometry on its instance, keyed by the only config fields it
+        reads; a bare sequence of layers builds it fresh.
         """
+        if not isinstance(model, ModelWorkload):
+            return self._build_grid_geometry(_attention_layers(model))
+        cfg = self.config
+        key = (cfg.softmax_lanes, cfg.bytes_per_element, cfg.macs_per_line)
+        return instance_memo(
+            model, self._GEOMETRY_SLOT, key,
+            lambda: self._build_grid_geometry(_attention_layers(model)),
+        )
+
+    def _build_grid_geometry(self, layers):
+        """Build :meth:`_grid_geometry`.  The per-layer job products come
+        memoized off each layer (:meth:`_column_products`)."""
         cfg = self.config
         lanes = cfg.softmax_lanes
         b = cfg.bytes_per_element
@@ -815,7 +586,6 @@ class CycleAccurateSimulator(AttentionSimulatorBase):
         tensor_bytes = np.empty(L, dtype=np.int64)
         k_bytes_full = np.empty(L, dtype=np.int64)
         total_nnz = np.empty(L, dtype=np.int64)
-        softmax_busy = 0.0
         products, softmax_cols = [], []
         for i, layer in enumerate(layers):
             head_dim = layer.head_dim
@@ -831,11 +601,11 @@ class CycleAccurateSimulator(AttentionSimulatorBase):
             sm_d = (-(-d_prod // lanes)).astype(np.float64)
             sm_s = (-(-s_prod // lanes)).astype(np.float64)
             softmax_cols.append((sm_d, sm_s))
-            softmax_busy += float(sm_d.sum() + sm_s.sum())
 
         # A layer's softmax unit is ONE FCFS queue serving all denser
         # compute completions before the sparser ones; only its FINAL
-        # state is ever consumed (its busy time is config-independent).
+        # state is ever consumed (its busy time, ``S_W``, is
+        # config-independent).
         # The final of a max-plus queue is ``S_W + max(0, max_j(r_j -
         # S_excl_j))`` with ``S = cumsum(durations)`` — a plain max
         # reduce, no scan — so per layer we keep the total ``S_W`` and
@@ -856,8 +626,7 @@ class CycleAccurateSimulator(AttentionSimulatorBase):
         # no row pads to a far-wider engine's job count.
         compute_bands = []
         for rows in _width_bands(np.concatenate([n_d, n_s])):
-            is_d = rows < L
-            layer_idx = np.where(is_d, rows, rows - L)
+            layer_idx = np.where(rows < L, rows, rows - L)
             pad, lengths = _pad_rows([
                 products[r][0] if r < L else products[r - L][1]
                 for r in rows.tolist()
@@ -870,8 +639,9 @@ class CycleAccurateSimulator(AttentionSimulatorBase):
                     excl = sm_denser_total[r - L] + excl
                 sm_off[j, : sm.size] = excl
             compute_bands.append({
+                "rows": rows,
                 "layer": layer_idx,
-                "is_d": is_d,
+                "per_wave": per_wave[layer_idx][:, None],
                 "pad": pad,
                 "lengths": lengths,
                 "mask": np.arange(pad.shape[1])[None, :] >= lengths[:, None],
@@ -889,7 +659,6 @@ class CycleAccurateSimulator(AttentionSimulatorBase):
             "tensor_bytes": tensor_bytes,
             "k_bytes_full": k_bytes_full,
             "total_nnz": total_nnz,
-            "softmax_busy": softmax_busy,
             "sm_total": sm_total,
             "compute_bands": compute_bands,
             "cells": cells,
@@ -899,7 +668,8 @@ class CycleAccurateSimulator(AttentionSimulatorBase):
     def simulate_attention_grid(self, model, columns):
         """Simulate ``P`` design points' whole attention stacks at once.
 
-        The grid-batched DSE path of :meth:`simulate_attention`: swept
+        The batched form of :meth:`simulate_attention` (which is this walk
+        at ``P = 1``), and the DSE path: swept
         hardware knobs arrive as per-point columns (see
         :meth:`_resolve_grid_columns`) instead of ``P`` simulator
         instances, and every (point, layer, job) event is scheduled by
@@ -914,11 +684,12 @@ class CycleAccurateSimulator(AttentionSimulatorBase):
         config-independent scalar ``jobs_executed``.  Element ``i`` of
         every array is **bit-for-bit** the corresponding
         :class:`CycleSimResult` total of a per-point
-        :meth:`simulate_attention` call at design point ``i``: all event
-        durations live on the ``2**-20``-cycle grid, so every sum and
-        max here is exact and association-free, and every non-grid
-        expression (byte counts, tile counts, service times) repeats the
-        per-point path's IEEE ops operand for operand.
+        :meth:`simulate_attention` call at design point ``i``, with
+        either engine: all event durations live on the ``2**-20``-cycle
+        grid, so every sum and max here is exact and association-free,
+        and every non-grid expression (byte counts, tile counts, service
+        times) repeats the scalar event loop's IEEE ops operand for
+        operand.
 
         Rows are grouped into width-band sub-batches
         (:func:`_width_bands`) so neither engine's rows pad to the
@@ -929,40 +700,38 @@ class CycleAccurateSimulator(AttentionSimulatorBase):
         :data:`_GRID_CELL_BUDGET` cells so peak memory stays bounded
         regardless of batch size.
         """
-        if isinstance(model, ModelWorkload):
-            layers = list(model.attention_layers)
-        else:
-            layers = list(model)
-        if not layers:
-            raise ValueError("no attention layers to simulate")
-        if type(self.dram) is not DramModel:
-            raise ValueError(
-                "simulate_attention_grid requires a plain DramModel: a "
-                "custom subclass may carry per-request state the batched "
-                "walk cannot replay (simulate per point instead)"
-            )
-        cols = self._resolve_grid_columns(columns)
-        geometry = self._grid_geometry(layers)
-        points = cols["points"]
-        totals = {
-            name: np.empty(points)
-            for name in ("makespan", "sddmm_makespan", "spmm_makespan",
-                         "denser_busy", "sparser_busy", "dram_busy",
-                         "softmax_busy")
-        }
+        per_layer, geometry = self._grid_walk(model, columns)
+        # Every summand lies on the 2**-20 grid, so the layer sums equal
+        # the per-point merge fold bit for bit.
+        totals = {name: values.sum(axis=1)
+                  for name, values in per_layer.items()}
+        totals["jobs_executed"] = geometry["jobs_executed"]
+        return totals
 
-        # Engine MAC-line split per (point, layer); the batched allocator
+    def _grid_walk(self, model, columns):
+        """The grid walk behind :meth:`simulate_attention_grid` and the
+        vectorized engine, before the layer sums.
+
+        Returns ``(per_layer, geometry)``: ``per_layer`` maps each
+        :data:`_RESULT_FIELDS` name to a ``(P, L)`` float64 array whose
+        element ``[i, l]`` is layer ``l``'s single-layer result at design
+        point ``i``.
+        """
+        cols = self._resolve_grid_columns(columns)
+        geometry = self._grid_geometry(model)
+        points = cols["points"]
+        per_layer = {name: np.empty((points, geometry["layers"]))
+                     for name in _RESULT_FIELDS}
+
+        # Engine MAC lines per (point, compute row): the batched allocator
         # is elementwise-exact against the scalar one, floored at 1 as
         # the schedulers require.  Lines below the allocator's minimum
-        # raise here for the whole batch, before any totals are written.
+        # raise here for the whole batch, before any results are written.
         d_lines, s_lines = allocate_mac_lines_batched(
             cols["lines"][:, None], geometry["denser_macs"],
             geometry["sparser_macs"]
         )
-        alloc = {
-            "d_lines": np.maximum(d_lines, 1),
-            "s_lines": np.maximum(s_lines, 1),
-        }
+        row_lines = np.maximum(np.concatenate([d_lines, s_lines], axis=1), 1)
 
         # Points sharing a (MAC lines, bytes/cycle, AE ratio) triple
         # share their entire scan geometry -- durations, cumsums, and
@@ -971,7 +740,7 @@ class CycleAccurateSimulator(AttentionSimulatorBase):
         # tables collapse from the point axis onto the handful of
         # distinct column triples (_grid_group_tables), and the
         # full-size per-point arrays only ever see elementwise SIMD
-        # passes (_grid_walk_group).  Totals are scattered straight back
+        # passes (_grid_walk_group).  Results are scattered straight back
         # through the original indices, so the ordering is unobservable.
         order = np.lexsort(
             (cols["act_buffer"], cols["ratio"], cols["bpc"], cols["lines"])
@@ -985,17 +754,20 @@ class CycleAccurateSimulator(AttentionSimulatorBase):
         line_cache = {}
         for ga, gb in zip(starts.tolist(), stops.tolist()):
             shared = self._grid_group_tables(
-                geometry, cols, alloc, order[ga], line_cache
+                geometry, cols, row_lines, order[ga], line_cache
             )
             for start in range(ga, gb, step):
                 idx = order[start:min(start + step, gb)]
-                self._grid_walk_group(geometry, cols, shared, idx, totals)
-        totals["jobs_executed"] = geometry["jobs_executed"]
-        return totals
+                self._grid_walk_group(geometry, cols, shared, idx,
+                                      per_layer)
+        return per_layer, geometry
 
-    def _grid_group_tables(self, geometry, cols, alloc, rep, line_cache):
-        """Scan tables shared by one (MAC lines, bytes/cycle, AE) group.
+    def _grid_group_tables(self, geometry, cols, row_lines, rep,
+                           line_cache):
+        """Tables shared by one (MAC lines, bytes/cycle, AE) group.
 
+        Returns the per-band scan tables (``bands``) and the group's
+        per-layer ``s_col``, ``v_service`` and ``spmm_compute``.
         ``rep`` indexes any design point of the group (all points of a
         group agree on every column the tables read).  Compute durations
         depend only on the MAC-line column, so the duration tables --
@@ -1020,16 +792,10 @@ class CycleAccurateSimulator(AttentionSimulatorBase):
         tables = line_cache.get(lines_key)
         if tables is None:
             tables = []
-            d_row = alloc["d_lines"][rep]
-            s_row = alloc["s_lines"][rep]
             for band in g["compute_bands"]:
-                layer_idx = band["layer"]
-                eng_lines = np.where(
-                    band["is_d"], d_row[layer_idx], s_row[layer_idx]
-                )
                 durations = (
-                    -(-band["pad"] // eng_lines[:, None])
-                    * g["per_wave"][layer_idx][:, None]
+                    -(-band["pad"] // row_lines[rep, band["rows"]][:, None])
+                    * band["per_wave"]
                 ).astype(np.float64)
                 total = np.cumsum(durations, axis=-1)
                 tables.append({
@@ -1041,27 +807,37 @@ class CycleAccurateSimulator(AttentionSimulatorBase):
                 })
             line_cache[lines_key] = tables
 
-        # The ladder step is the sparser K-column service time, computed
-        # from this group's scalar bandwidth/ratio with the exact
-        # per-point expressions (IEEE ops are elementwise, so scalar and
-        # column evaluation agree bitwise).
+        # The ladder step is the K-column service time.  It, the V-stream
+        # service time and the SpMM compute time read only this group's
+        # columns, so they are computed once per group from the scalar
+        # lines/bandwidth/ratio with the exact per-point expressions
+        # (`_layer_geometry`, `_service`, `_simulate_layer_scalar`; IEEE
+        # ops are elementwise, so scalar and column evaluation agree
+        # bitwise).
         bpc = cols["bpc"][rep]
-        ratio = cols["ratio"][rep]
-        step_vec = self._grid_service(np.trunc(g["k_bytes_full"] * ratio), bpc)
+        s_col = self._grid_service(
+            np.trunc(g["k_bytes_full"] * cols["ratio"][rep]), bpc
+        )
         bands = []
         for band, t in zip(g["compute_bands"], tables):
             width = band["pad"].shape[1]
-            h = step_vec[band["layer"]][:, None] * np.arange(1, width + 1)
+            h = s_col[band["layer"]][:, None] * np.arange(1, width + 1)
             h -= t["offset"]
             h[band["mask"]] = -np.inf
             bands.append({**t, "M": np.maximum.accumulate(h, axis=-1)})
-        return bands
+        return {
+            "bands": bands,
+            "s_col": s_col,
+            "v_service": self._grid_service(2 * g["tensor_bytes"], bpc),
+            "spmm_compute": (np.ceil(g["total_nnz"] / cols["lines"][rep])
+                             * g["per_wave"]),
+        }
 
-    def _grid_walk_group(self, geometry, cols, shared, idx, totals):
+    def _grid_walk_group(self, geometry, cols, shared, idx, per_layer):
         """One design-point sub-batch within a (lines, bpc, ratio) group.
 
-        Every expression mirrors :meth:`_simulate_attention_batched`
-        (and through it the per-point scans) with a leading point axis;
+        Every expression mirrors the event loop of
+        :meth:`_simulate_layer_scalar` with leading (point, layer) axes;
         comments mark the correspondence.  The compute scans themselves
         are prefactored into ``shared`` (see :meth:`_grid_group_tables`):
         a row's job completions are ``total_j + max(base + M_j, 0)``,
@@ -1075,12 +851,12 @@ class CycleAccurateSimulator(AttentionSimulatorBase):
         summand is the precomputed ``addend``; denser requests precede
         sparser ones exactly as in the event loop (the sparser rows'
         ``S_excl`` starts past the denser jobs' total softmax time), and
-        the concatenated queue equals the whole-model path's carried-init
-        scans bit for bit (all values live on the ``2**-20`` grid, so
-        every association is exact).  Padded slots carry
+        the regrouped queue equals the event loop's one softmax
+        :class:`Timeline` bit for bit (all values live on the ``2**-20``
+        grid, so every association is exact).  Padded slots carry
         ``addend = -inf`` and layers without a denser (or sparser) row
-        keep that side's running max at ``-inf``, reproducing the
-        whole-model path's empty-row branches.
+        keep that side's running max at ``-inf``, so an engine with no
+        jobs adds no softmax requests, as in the event loop.
         """
         g = geometry
         L = g["layers"]
@@ -1088,64 +864,49 @@ class CycleAccurateSimulator(AttentionSimulatorBase):
         bpc = cols["bpc"][idx][:, None]
         act_buffer = cols["act_buffer"][idx][:, None]
         ratio = cols["ratio"][idx][:, None]
-        lines = cols["lines"][idx][:, None]
+        s_col = shared["s_col"]
+        v_service = shared["v_service"]
 
-        # Byte/tile geometry and quantized DRAM service times: the exact
-        # `_layer_geometry` / `_build_layer_services` expressions with
-        # ratio/buffer/bandwidth as (points, 1) columns.
-        k_col_bytes = np.trunc(g["k_bytes_full"] * ratio)
+        # The Q-stream's tile count reads the activation buffer, which
+        # varies within a group: the exact `_layer_geometry` / `_service`
+        # expressions with ratio/buffer/bandwidth as (points, 1) columns.
         k_tiles = np.maximum(
             1.0, np.ceil(g["tensor_bytes"] * ratio / (act_buffer / 2))
         )
         q_stream = np.trunc(g["tensor_bytes"] * ratio * k_tiles)
         q_service = self._grid_service(q_stream, bpc)
-        s_col = self._grid_service(k_col_bytes, bpc)
-        v_service = self._grid_service(2 * g["tensor_bytes"], bpc)
 
-        spmm_compute = np.ceil(g["total_nnz"] / lines) * g["per_wave"]
-
-        t_denser = np.zeros((p, L))
-        t_sparser = np.zeros((p, L))
-        denser_busy = np.zeros((p, L))
-        sparser_busy = np.zeros((p, L))
-        md = np.full((p, L), -np.inf)
-        ms = np.full((p, L), -np.inf)
-        for band, t in zip(g["compute_bands"], shared):
-            layer_idx = band["layer"]
-            is_d = band["is_d"]
-            base = np.where(
-                is_d,
-                q_service[:, layer_idx],
-                q_service[:, layer_idx]
-                + s_col[:, layer_idx] * g["n_d"][layer_idx],
-            )
-            buf = base[:, :, None] + t["M"]
+        # Per compute row (denser rows 0..L-1, sparser rows L..2L-1): the
+        # DRAM time before the row's first K-column load is served (the
+        # q-stream, plus the denser loads for a sparser row).
+        base = np.concatenate([q_service, q_service + s_col * g["n_d"]],
+                              axis=1)
+        finish = np.zeros((p, 2 * L))
+        busy = np.zeros((p, 2 * L))
+        sm_max = np.full((p, 2 * L), -np.inf)
+        for band, t in zip(g["compute_bands"], shared["bands"]):
+            rows = band["rows"]
+            buf = base[:, rows, None] + t["M"]
             np.maximum(buf, 0.0, out=buf)
-            finish = buf[:, :, -1] + t["last"]
-            d_rows = np.flatnonzero(is_d)
-            s_rows = np.flatnonzero(~is_d)
-            t_denser[:, layer_idx[d_rows]] = finish[:, d_rows]
-            t_sparser[:, layer_idx[s_rows]] = finish[:, s_rows]
-            denser_busy[:, layer_idx[d_rows]] = t["busy"][d_rows]
-            sparser_busy[:, layer_idx[s_rows]] = t["busy"][s_rows]
+            finish[:, rows] = buf[:, :, -1] + t["last"]
+            busy[:, rows] = t["busy"]
             buf += t["addend"]
-            band_max = buf.max(axis=-1)
-            md[:, layer_idx[d_rows]] = band_max[:, d_rows]
-            ms[:, layer_idx[s_rows]] = band_max[:, s_rows]
-        sm_free = g["sm_total"] + np.maximum(np.maximum(md, ms), 0.0)
+            sm_max[:, rows] = buf.max(axis=-1)
+        sm_free = g["sm_total"] + np.maximum(
+            np.maximum(sm_max[:, :L], sm_max[:, L:]), 0.0
+        )
 
-        sddmm_done = np.maximum(np.maximum(t_denser, t_sparser), sm_free)
+        sddmm_done = np.maximum(np.maximum(finish[:, :L], finish[:, L:]),
+                                sm_free)
         dram_free = q_service + s_col * (g["n_d"] + g["n_s"])
         v_done = np.maximum(sddmm_done, dram_free) + v_service
-        spmm_done = np.maximum(sddmm_done + spmm_compute, v_done)
-        dram_busy = q_service + s_col * (g["n_d"] + g["n_s"]) + v_service
+        spmm_done = np.maximum(sddmm_done + shared["spmm_compute"], v_done)
+        dram_busy = dram_free + v_service
 
-        # Whole-model totals: every summand lives on the 2**-20 grid, so
-        # the axis sums equal the per-layer merge fold bit for bit.
-        totals["makespan"][idx] = spmm_done.sum(axis=1)
-        totals["sddmm_makespan"][idx] = sddmm_done.sum(axis=1)
-        totals["spmm_makespan"][idx] = (spmm_done - sddmm_done).sum(axis=1)
-        totals["denser_busy"][idx] = denser_busy.sum(axis=1)
-        totals["sparser_busy"][idx] = sparser_busy.sum(axis=1)
-        totals["dram_busy"][idx] = dram_busy.sum(axis=1)
-        totals["softmax_busy"][idx] = g["softmax_busy"]
+        per_layer["makespan"][idx] = spmm_done
+        per_layer["sddmm_makespan"][idx] = sddmm_done
+        per_layer["spmm_makespan"][idx] = spmm_done - sddmm_done
+        per_layer["denser_busy"][idx] = busy[:, :L]
+        per_layer["sparser_busy"][idx] = busy[:, L:]
+        per_layer["dram_busy"][idx] = dram_busy
+        per_layer["softmax_busy"][idx] = g["sm_total"]

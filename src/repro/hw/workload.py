@@ -25,6 +25,14 @@ __all__ = ["HeadWorkload", "HeadStatArrays", "AttentionWorkload",
            "split_remainder"]
 
 
+def _state_without_caches(obj):
+    """Pickle state of a workload minus its ``_CACHE_ATTRS``."""
+    state = dict(obj.__dict__)
+    for attr in obj._CACHE_ATTRS:
+        state.pop(attr, None)
+    return state
+
+
 def _memoized(obj, attr, builder):
     """Cache ``builder()`` on a frozen dataclass instance.
 
@@ -137,20 +145,13 @@ class AttentionWorkload:
     heads: Sequence[HeadWorkload]
     streaming_fallback: bool = True
 
-    #: instance-cache attributes (see :func:`_memoized` and
-    #: :func:`repro.perf.memo.instance_memo`) stripped from pickles: they
-    #: are pure derived data, and parallel DSE chunks ship the workload
-    #: often enough that doubling the payload matters.
-    #: ``_cycle_geometry`` is the cycle simulator's per-(workload, config)
-    #: table (service times, MAC-line allocations).
+    #: instance-cache attributes (see :func:`_memoized`) stripped from
+    #: pickles: they are pure derived data, and shipping a workload to
+    #: another process should not carry them.
     _CACHE_ATTRS = ("_head_stats", "_denser_job_products",
-                    "_sparser_job_products", "_cycle_geometry")
+                    "_sparser_job_products")
 
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        for attr in self._CACHE_ATTRS:
-            state.pop(attr, None)
-        return state
+    __getstate__ = _state_without_caches
 
     @property
     def embed_dim(self):
@@ -325,6 +326,13 @@ class ModelWorkload:
     name: str
     attention_layers: Sequence[AttentionWorkload]
     linear_layers: Sequence[GemmWorkload]
+
+    #: instance-cache attributes stripped from pickles:
+    #: ``_cycle_grid_geometry`` is the cycle simulator's grid-walk
+    #: geometry (see :func:`repro.perf.memo.instance_memo`).
+    _CACHE_ATTRS = ("_cycle_grid_geometry",)
+
+    __getstate__ = _state_without_caches
 
     @property
     def attention_macs(self):

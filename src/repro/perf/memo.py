@@ -4,9 +4,9 @@
 of :mod:`repro.hw.workload`: instead of caching one derived value per
 attribute, it caches a *table* of ``key -> value`` on the instance, so a
 frozen workload can hold derived geometry per *hardware configuration* —
-the cycle simulator's per-(workload, config) line allocations and DRAM
-service times, which dominate cheap DSE points when the workload repeats
-across the grid.
+the cycle simulator's grid-walk geometry, keyed by the few config fields
+it reads, which every walk on a repeated workload would otherwise
+rebuild.
 
 This module deliberately imports nothing from :mod:`repro` (the cycle
 simulator imports it while :mod:`repro.perf`'s own ``__init__`` may still

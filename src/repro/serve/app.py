@@ -58,6 +58,10 @@ __all__ = ["ServeServer", "build_server", "run_server", "serving"]
 
 _JOB_ROUTE = re.compile(r"^/jobs/([0-9a-f]{16})(/results|/events)?$")
 
+#: Largest ``POST /jobs`` body read; a study request is a few hundred
+#: bytes, so larger bodies are refused with 413 before any is read.
+MAX_BODY_BYTES = 1 << 20
+
 _access_log = obs.get_logger("serve.access")
 
 
@@ -103,6 +107,12 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _error(self, code, message):
         self._send_json(code, {"error": str(message)})
+
+    def _reject_unread_body(self, code, message):
+        """Answer without reading the request body, then close: the unread
+        bytes would otherwise be parsed as the next request."""
+        self._send_json(code, {"error": message},
+                        headers={"Connection": "close"})
 
     def _dispatch(self, method, route_handler):
         """Time one request and record it: counters, histogram, access log.
@@ -199,7 +209,15 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError:
-            self._error(400, "bad Content-Length")
+            length = -1
+        if length < 0:
+            self._reject_unread_body(400, "bad Content-Length")
+            return
+        if length > MAX_BODY_BYTES:
+            self._reject_unread_body(
+                413, f"request body of {length} bytes exceeds the "
+                     f"{MAX_BODY_BYTES}-byte limit"
+            )
             return
         try:
             request = json.loads(self.rfile.read(length) or b"")

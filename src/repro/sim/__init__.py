@@ -30,7 +30,7 @@ re-implemented (four times) as per-simulator merge loops:
 
 Subclasses override narrow hooks (per-layer kwargs, detail dicts, the
 dense-path simulator) rather than rewriting the loops; fast batched
-implementations (the cycle simulator's one-scan whole-model pipeline, the
+implementations (the cycle simulator's whole-model grid walk, the
 analytical model's array geometry) override the driver method itself and
 are tested bit-for-bit against the base class's fold.
 

@@ -261,8 +261,7 @@ class TestWidthBands:
     def test_geometry_pads_within_band_only(self):
         """The grid geometry's padded matrices are exactly each band's
         own width — a narrow denser row never pays for the sparser
-        engine's width (the failure mode that keeps the whole-model scan
-        at one matrix per engine)."""
+        engine's width."""
         layers = [synthetic_attention_workload(96, 2, 32, sparsity=s, seed=i)
                   for i, s in enumerate((0.95, 0.7))]
         sim = CycleAccurateSimulator()
@@ -271,8 +270,7 @@ class TestWidthBands:
         all_widths = np.concatenate([n_d, n_s])
         seen = []
         for band in geometry["compute_bands"]:
-            rows = np.where(band["is_d"], band["layer"],
-                            band["layer"] + len(layers))
+            rows = band["rows"]
             seen.extend(rows.tolist())
             widths = all_widths[rows]
             assert band["pad"].shape[1] == widths.max()
@@ -315,16 +313,6 @@ class TestSimulateAttentionGrid:
                      "softmax_busy"):
             assert totals[name][0] == getattr(result, name)
         assert totals["jobs_executed"] == result.jobs_executed
-
-    def test_custom_dram_model_rejected(self, small_workload):
-        from repro.hw.dram import DramModel
-
-        class StatefulDram(DramModel):
-            pass
-
-        sim = CycleAccurateSimulator(dram=StatefulDram())
-        with pytest.raises(ValueError, match="plain DramModel"):
-            sim.simulate_attention_grid(small_workload, {})
 
 
 class TestOfferAll:

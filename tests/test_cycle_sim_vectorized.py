@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from repro.hw import (
     AttentionWorkload,
     CycleAccurateSimulator,
+    DramModel,
     HeadWorkload,
     VITCOD_DEFAULT,
     dense_attention_workload,
@@ -169,6 +170,17 @@ class TestEngineFlag:
 
     def test_default_is_vectorized(self):
         assert CycleAccurateSimulator().engine == "vectorized"
+
+    @pytest.mark.parametrize("dram", [
+        DramModel(),
+        DramModel(bytes_per_cycle=32.0),
+        type("StatefulDram", (DramModel,), {})(),
+        None,
+    ], ids=["default", "custom-rate", "subclass", "none"])
+    def test_dram_argument_rejected(self, dram):
+        """The channel is always the config's plain DramModel."""
+        with pytest.raises(TypeError):
+            CycleAccurateSimulator(dram=dram)
 
     def test_multi_layer_agreement(self):
         wl = synthetic_attention_workload(48, 2, 16, sparsity=0.8, seed=1)

@@ -156,8 +156,8 @@ class TestFig19:
     def test_energy_efficiency_over_sanger(self, data):
         # Paper: 9.8x (on the six DeiT/LeViT models).  Our energy model
         # reproduces the direction but a smaller magnitude (~2.4x on
-        # DeiT-Base, less on the tiny models used here) — see
-        # EXPERIMENTS.md for the documented deviation.
+        # DeiT-Base, less on the tiny models used here): it charges both
+        # designs identical DRAM energy.
         assert data["energy_efficiency_vs_sanger"] > 1.0
 
     def test_ae_reduces_data_movement_share(self, data):

@@ -35,6 +35,7 @@ from repro.serve import (
     study_fingerprint,
 )
 from repro.hw.params import VITCOD_DEFAULT
+from repro.serve.app import MAX_BODY_BYTES
 from repro.sim.evaluator import evaluator_from_spec
 
 GRID = {"mac_lines": [16, 32], "ae_compression": [None, 0.5]}
@@ -349,6 +350,35 @@ class TestHTTPService:
             with pytest.raises(ServeError) as excinfo:
                 client._request("/jobs", data=b"{not json")
             assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize("length, status", [
+        ("-1", 400),
+        ("99999999999", 413),
+        (str(MAX_BODY_BYTES + 1), 413),
+    ], ids=["negative", "huge", "just-over-limit"])
+    def test_bad_content_length_rejected_unread(self, tmp_path, length,
+                                                status):
+        """A bad length is answered without reading the body, and the
+        connection closes; the socket timeout fails the test instead of
+        hanging it if the server blocks on the read."""
+        import socket
+        from urllib.parse import urlsplit
+
+        with serving(tmp_path / "data", workers=0) as server:
+            url = urlsplit(server.url)
+            with socket.create_connection((url.hostname, url.port),
+                                          timeout=10) as sock:
+                sock.sendall(
+                    "POST /jobs HTTP/1.1\r\nHost: test\r\n"
+                    "Content-Type: application/json\r\n"
+                    f"Content-Length: {length}\r\n\r\n".encode()
+                )
+                reply = b""
+                while chunk := sock.recv(65536):
+                    reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split()[1] == str(status).encode()
+        assert "error" in json.loads(body)
 
     def test_submission_returns_201_only_on_creation(self, tmp_path):
         import urllib.request

@@ -1,7 +1,7 @@
 """Batched whole-model simulation == per-layer loop, bit for bit.
 
-The batched cycle-sim pipeline runs every layer in one 2-D max-plus scan
-with per-layer reset rows; durations live on the ``2**-20``-cycle grid, so
+The vectorized cycle simulator runs every layer in one grid walk (at one
+design point) with per-layer engine reset rows; durations live on the ``2**-20``-cycle grid, so
 the batched and per-layer event algebras are exact in double precision and
 must agree exactly (same argument as the scalar/vectorized equivalence).
 The batched analytical model mirrors the per-layer phase expressions
